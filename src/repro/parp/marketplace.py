@@ -12,16 +12,17 @@ free of sign-up friction; this module supplies the missing client machinery:
   server under a **reputation × price** score (the §VIII
   :class:`~repro.parp.reputation.ReputationLedger` finally wired into
   selection);
-* **failover**: on an invalid response, a timeout, or a batch-version
-  mismatch the client records the reputation event, re-issues the identical
-  query to the next-ranked server, and — when the response is provable
-  fraud — escalates through a witness to the on-chain slash flow;
+* **one scatter-race** over (legs × width) serves every query: serial
+  ``request_call``/``query_batch`` is the 1×1 case, ``query_hedged`` 1×k
+  and ``query_sharded`` N×k.  On an invalid response, a timeout, or a
+  shed the client records the reputation event and re-issues the
+  identical query to the next-ranked server; provable fraud escalates
+  through a witness to the on-chain slash flow;
 * **sharded serving**: advertisements carry an optional
   :class:`~repro.trie.shard.ShardRange`; selection becomes range-aware
-  (a server is only ever asked for keys inside its advertised slice) and
-  :meth:`MarketplaceClient.query_sharded` scatters a batch across shard
-  legs, hedges each leg independently, and stitches the verified
-  per-shard multiproof results back into request order.
+  (a server is only ever asked for keys inside its advertised slice), and
+  the verified per-shard multiproof results of a scatter are stitched back
+  into request order.
 """
 
 from __future__ import annotations
@@ -375,34 +376,39 @@ class ShardScatterError(MarketplaceError):
         return tuple(leg for leg in self.legs if not leg.ok)
 
 
-@dataclass
-class _HedgeEntry:
-    """Internal per-leg race state."""
+@dataclass(eq=False)
+class _Launch:
+    """One in-flight issue of a race leg to one server."""
 
     ad: ServerAdvertisement
     session: LightClientSession
     pending: "PendingBatch | PendingRequest"
     deadline: Optional[float]     # sim-clock instant; None for in-process
-    attempt: HedgeAttempt
-    cost: int = 0                 # what issuing this leg added to its channel
+    cost: int                     # what issuing it added to its channel
+    attempt: Optional[HedgeAttempt]   # None on the serial (1×1) path
 
 
 @dataclass
-class _LegRace:
-    """Internal per-shard scatter state (one hedged race per leg)."""
+class _Race:
+    """One leg of a scatter-race: its candidates and in-flight launches."""
 
     leg: ShardLeg
-    tip: int = 0
+    tip: int
+    batch: bool                   # batch wire (else the single-request one)
     tried: set[Address] = field(default_factory=set)
-    skipped: set[Address] = field(default_factory=set)
-    active: list[_HedgeEntry] = field(default_factory=list)
+    #: advertised batch speakers whose probe disagreed (per-key pool)
+    skipped: list[ServerAdvertisement] = field(default_factory=list)
+    deferred: dict[Address, int] = field(default_factory=dict)  # sheds
+    active: list[_Launch] = field(default_factory=list)
+    attempts: list[str] = field(default_factory=list)
+    result: Any = None            # the winner's outcome, as collected
 
 
 #: consecutive transport timeouts before a server is demoted to last resort.
 COLD_AFTER = 2
 
-#: how many times one query may *defer* back to an overloaded server (wait
-#: out its retry_after and re-issue) before giving up on it for this query.
+#: how many times one query leg may *defer* back to an overloaded server
+#: (wait out its retry_after and re-issue) before giving up on it.
 MAX_OVERLOAD_DEFERS = 2
 
 
@@ -596,28 +602,22 @@ class MarketplaceClient:
                 return network
         return None
 
-    def _await_backoff(self, addresses: Sequence[Address]) -> bool:
-        """Wait out the earliest backoff deadline among ``addresses``.
+    def _await_backoff(self, address: Address) -> None:
+        """Wait out a shed server's backoff deadline before re-issuing.
 
         This is the no-retry-storm guarantee: instead of re-issuing to a
         shed server immediately (arriving in the same saturated window as
         everyone else's retry), the client sits out the server's own
         jittered ``retry_after``.  Under simulated time the network runs
         until the deadline (other in-flight legs keep progressing); without
-        a drivable clock the earliest entry is simply released, so routing
-        always makes progress.
+        a drivable clock the entry is simply released, so routing always
+        makes progress.
         """
-        entries = [(self._backoff[a], a) for a in addresses
-                   if a in self._backoff]
-        if not entries:
-            return False
-        deadline, address = min(entries)
+        deadline = self._backoff.pop(address)
         self.stats.retry_storms_avoided += 1
         network = self._find_network()
         if network is not None and self._clock is not None:
             network.run_until(deadline)
-        self._backoff.pop(address, None)
-        return True
 
     # ------------------------------------------------------------------ #
     # Selection
@@ -709,17 +709,7 @@ class MarketplaceClient:
         for ad in self.eligible():
             if len(self.bonded_sessions()) >= want:
                 break
-            if ad.address in self.bonded_sessions():
-                continue
-            try:
-                self._open_session(ad)
-            except SessionError as exc:
-                # client-side lifecycle/budget problem: the server did not
-                # misbehave, so no reputation penalty
-                attempts.append(f"{ad.label}: {exc}")
-            except Exception as exc:  # noqa: BLE001 — any connect failure ⇒ next server
-                self.reputation.record(ad.address, EVENT_TIMEOUT, self._now())
-                attempts.append(f"{ad.label}: {exc}")
+            self._session_for(ad, attempts)
         opened = self.bonded_sessions()
         if not opened:
             raise MarketplaceError("could not bond to any server", attempts)
@@ -736,11 +726,22 @@ class MarketplaceClient:
         self.stats.sessions_opened += 1
         return session
 
-    def _session_for(self, ad: ServerAdvertisement) -> LightClientSession:
+    def _session_for(self, ad: ServerAdvertisement,
+                     attempts: list[str]) -> Optional[LightClientSession]:
+        """A bonded session to ``ad`` (opened if need be), or None after
+        logging why not.  A SessionError is a client-side lifecycle/budget
+        problem — the server did not misbehave, so no reputation penalty;
+        any other connect failure is the server's timeout."""
         session = self.sessions.get(ad.address)
         if session is not None and session.state is LightClientState.BONDED:
             return session
-        return self._open_session(ad)
+        try:
+            return self._open_session(ad)
+        except Exception as exc:  # noqa: BLE001 — any connect failure ⇒ next server
+            if not isinstance(exc, SessionError):
+                self.reputation.record(ad.address, EVENT_TIMEOUT, self._now())
+            attempts.append(f"{ad.label}: connect: {exc}")
+            return None
 
     def _retire_session(self, address: Address) -> None:
         """Stop using a session but keep it: its channel's α and acked
@@ -758,7 +759,7 @@ class MarketplaceClient:
             pass  # a later query will surface the exhaustion with context
 
     # ------------------------------------------------------------------ #
-    # The routed request path
+    # The routed request path: one scatter-race over (legs × width)
     # ------------------------------------------------------------------ #
 
     def request(self, method: str, *params: Any, tip: int = 0) -> RequestOutcome:
@@ -767,9 +768,8 @@ class MarketplaceClient:
         return self.request_call(call, tip=tip)
 
     def request_call(self, call: RpcCall, tip: int = 0) -> RequestOutcome:
-        keys = self._require_coverage((call,))
-        return self._serve(lambda s: s.request_call(call, tip=tip),
-                           describe=call.method, keys=keys)
+        """The serial path for one call: a 1×1 race on the single wire."""
+        return self._race_one((call,), tip, call.method, batch=False).result
 
     def query_batch(self, calls: Sequence[RpcCall], tip: int = 0) -> BatchOutcome:
         """A batched query, routed to batch-speaking servers first.
@@ -779,133 +779,64 @@ class MarketplaceClient:
         spans shards needs :meth:`query_sharded` instead.
         """
         calls = tuple(calls)
-        keys = self._require_coverage(calls)
-        return self._serve(lambda s: s.query_batch(calls, tip=tip),
-                           describe=f"batch[{len(calls)}]", want_batch=True,
-                           keys=keys)
-
-    # ------------------------------------------------------------------ #
-    # Hedged fan-out: the failover race
-    # ------------------------------------------------------------------ #
+        return self._race_one(calls, tip, f"batch[{len(calls)}]",
+                              batch=True).result
 
     def query_hedged(self, calls: Sequence[RpcCall], fanout: int = 2,
                      tip: int = 0) -> BatchOutcome:
         """Issue the same batch on the ``fanout`` best-ranked sessions and
         accept the **first response that survives §V-D verification**.
 
-        This converts the serial timeout-chain failover of :meth:`_serve`
-        into a race: every leg is a signed, paid request on that server's
-        own channel (only the winner's payment is ever acked — losers are
-        cancelled while in flight, and their unacked amounts are not
-        volunteered at closure).  A leg that fails — fraud (escalated and
-        slashed as usual), invalid response, or timeout — is replaced by
-        the next-ranked server, so the race keeps its width until the
-        marketplace runs out of candidates.  Legs that never verify leave
-        their reputation events behind exactly like serial failover.
+        The 1×k case of the scatter-race.  Every launch is a signed, paid
+        request on that server's own channel; only the winner's payment is
+        ever acked (losers are cancelled in flight, and their unacked
+        amounts are not volunteered at closure).  A failed launch leaves
+        its reputation events behind exactly like serial failover and is
+        replaced by the next-ranked server, so the race keeps its width
+        until the marketplace runs out of candidates.
 
         A single-call query rides the single-request wire path (its fraud
         packages are what the on-chain FDM can decode, so a fast-but-
         malicious loser is actually *slashed*, not just dropped); multi-call
-        queries ride the batch path, so servers that don't speak our batch
-        version never join those races — and when *no* eligible server
-        speaks it, the query falls back to the serial :meth:`query_batch`
-        path (which degrades per key).
+        queries ride the batch path, so only batch speakers join those
+        races — and when none is left, the query is served per key on a
+        passed-over server, as :meth:`query_batch` would.
         """
         calls = tuple(calls)
         if not calls:
             raise MarketplaceError("a hedged query needs at least one call")
         fanout = max(1, int(fanout))
-        keys = self._require_coverage(calls)
         describe = f"hedged batch[{len(calls)}]×{fanout}"
-        tried: set[Address] = set()
-        #: non-batch-speaking servers passed over while picking race legs —
-        #: the per-key fallback pool if the whole race comes up empty
-        skipped: set[Address] = set()
-        attempts: list[str] = []
-        active: list[_HedgeEntry] = []
-        self.last_hedge = []
+        return self._race_one(calls, tip, describe, batch=len(calls) > 1,
+                              width=fanout, hedged=True).leg.outcome
 
-        for _ in range(fanout):
-            self._hedge_launch(calls, tip, tried, skipped, attempts, active,
-                               keys=keys)
-        if not active:
-            # nobody could even be issued to (commonly: no batch speakers) —
-            # the serial path still knows how to degrade per key, excluding
-            # the servers the launch attempts already burned
-            return self._serve(lambda s: s.query_batch(calls, tip=tip),
-                               describe=f"batch[{len(calls)}]",
-                               want_batch=True, exclude=tried - skipped,
-                               keys=keys)
-        self.stats.hedged_queries += 1
-
-        while active:
-            self._hedge_wait(active)
-            clock = self._hedge_clock(active)
-            now = clock.now() if clock is not None else None
-            # a clockless pass with nothing resolved means _hedge_wait
-            # already ran the replies' own drivers for a full default bound
-            stalled = (now is None
-                       and not any(e.pending.reply.done() for e in active))
-            for entry in list(active):
-                expired = (now is not None and entry.deadline is not None
-                           and now >= entry.deadline)
-                if entry.pending.reply.done():
-                    active.remove(entry)
-                    outcome = self._hedge_collect(entry, attempts, tried)
-                    if outcome is not None:
-                        self._hedge_win(entry, active)
-                        return outcome
-                    self._hedge_launch(calls, tip, tried, skipped, attempts,
-                                       active, keys=keys)
-                elif expired or stalled:
-                    # the synchrony bound passed with the reply still in
-                    # flight: cancel the leg and collect it, so the shared
-                    # failover policy (_penalize_failure) hands out the
-                    # same transport-timeout verdict as the serial path.
-                    # (stalled: a clockless transport whose legs a full
-                    # default-bound wait could not resolve — timing them
-                    # out keeps the race loop from spinning forever.)
-                    active.remove(entry)
-                    entry.pending.cancel()
-                    outcome = self._hedge_collect(entry, attempts, tried)
-                    if outcome is not None:
-                        # resolved on the deadline boundary and verified:
-                        # a win is a win
-                        self._hedge_win(entry, active)
-                        return outcome
-                    self._hedge_launch(calls, tip, tried, skipped, attempts,
-                                       active, keys=keys)
-        if skipped:
-            # every batch speaker failed, but servers without batch support
-            # were never given a chance — degrade to the serial per-key path
-            # (excluding the already-failed racers) rather than failing a
-            # query an eligible server could answer
-            return self._serve(lambda s: s.query_batch(calls, tip=tip),
-                               describe=f"batch[{len(calls)}]",
-                               want_batch=True, exclude=tried - skipped,
-                               keys=keys)
-        raise MarketplaceError(f"{describe}: every eligible server failed",
-                               attempts)
-
-    # ------------------------------------------------------------------ #
-    # Sharded scatter-gather
-    # ------------------------------------------------------------------ #
+    def _race_one(self, calls: tuple[RpcCall, ...], tip: int, describe: str,
+                  batch: bool, width: int = 1, hedged: bool = False) -> _Race:
+        """Race one leg carrying every call; raise if nobody wins it."""
+        leg = ShardLeg(index=0, calls=calls,
+                       positions=tuple(range(len(calls))),
+                       keys=self._require_coverage(calls))
+        race = _Race(leg=leg, tip=tip, batch=batch)
+        if hedged:
+            self.last_hedge = []
+        self._scatter_race([race], width, hedged)
+        if hedged and self.last_hedge:  # a race ran, not just the fallback
+            self.stats.hedged_queries += 1
+        if race.result is None:
+            raise self._exhausted(race, describe)
+        return race
 
     def query_sharded(self, calls: Sequence[RpcCall], fanout: int = 1,
                       tip: int = 0) -> ScatterOutcome:
         """Scatter a batch across shard legs, gather verified multiproofs.
 
-        The batch is split by the directory's shard map: each state-keyed
-        call joins the leg of the shard covering its hashed key (unsharded
-        calls — any serving node answers those — ride with the first leg).
-        Every leg is an independent hedged race among the servers of *its*
-        shard: ``fanout`` concurrent paid requests per leg, losers
-        cancelled the moment a leg's first response verifies, failures
-        replaced in-shard, with the serial failover path as last resort.
-        Legs resolve in completion order (no head-of-line blocking on the
-        slowest shard), and the per-shard results — each one a §V-D
-        verified multiproof against the *global* state root — are stitched
-        back into request order.
+        The N×k case of the scatter-race.  The batch is split by the
+        directory's shard map (unsharded calls ride with the first leg),
+        and every leg races independently among the servers of *its* shard
+        with ``fanout`` launches in flight.  Legs resolve in completion
+        order (no head-of-line blocking on the slowest shard), and the
+        per-shard results — each one a §V-D verified multiproof against the
+        *global* state root — are stitched back into request order.
 
         A shard server is never asked for (and could not prove) keys
         outside its slice; a leg whose shard has no live server left ends
@@ -920,86 +851,36 @@ class MarketplaceClient:
         legs = self._split_by_shard(calls)
         self.stats.sharded_queries += 1
         self.stats.scatter_legs += len(legs)
-        attempts: list[str] = []
         self.last_hedge = []
-        races: list[_LegRace] = []
-        for leg in legs:
-            # the tip (priority fee) rides on the first leg only: one scatter
-            # is one query, not len(legs) separately-tipped ones
-            race = _LegRace(leg=leg, tip=tip if leg.index == 0 else 0)
-            races.append(race)
-            for _ in range(fanout):
-                if self._hedge_launch(leg.calls, race.tip, race.tried,
-                                      race.skipped, attempts, race.active,
-                                      keys=leg.keys) is None:
-                    break
-            leg.attempts = len(race.active)
-            if not race.active:
-                self._leg_fallback(race, attempts)
+        # the tip (priority fee) rides on the first leg only: one scatter
+        # is one query, not len(legs) separately-tipped ones
+        races = [_Race(leg=leg, tip=tip if leg.index == 0 else 0,
+                       batch=len(leg.calls) > 1) for leg in legs]
+        self._scatter_race(races, fanout, hedged=True)
 
-        while True:
-            active_all = [e for race in races for e in race.active]
-            if not active_all:
-                break
-            self._hedge_wait(active_all)
-            clock = self._hedge_clock(active_all)
-            now = clock.now() if clock is not None else None
-            stalled = (now is None
-                       and not any(e.pending.reply.done() for e in active_all))
-            for race in races:
-                for entry in list(race.active):
-                    if entry not in race.active:
-                        continue   # cancelled as a loser when its leg won
-                    expired = (now is not None and entry.deadline is not None
-                               and now >= entry.deadline)
-                    if not entry.pending.reply.done() and not (expired
-                                                               or stalled):
-                        continue
-                    race.active.remove(entry)
-                    if not entry.pending.reply.done():
-                        entry.pending.cancel()
-                    outcome = self._hedge_collect(entry, attempts, race.tried)
-                    if outcome is not None:
-                        race.leg.outcome = outcome
-                        race.leg.winner = entry.ad.address
-                        race.leg.cost = entry.cost
-                        # only this leg's losers are cancelled: the other
-                        # legs' races are independent correlations
-                        self._hedge_win(entry, race.active)
-                        race.active.clear()
-                    else:
-                        replacement = self._hedge_launch(
-                            race.leg.calls, race.tip, race.tried,
-                            race.skipped, attempts, race.active,
-                            keys=race.leg.keys)
-                        if replacement is not None:
-                            race.leg.attempts += 1
-                        elif not race.active:
-                            self._leg_fallback(race, attempts)
-
-        failed = [race.leg for race in races if not race.leg.ok]
+        failed = [race for race in races if not race.leg.ok]
         if failed:
             # winners' payments were acked when their responses verified;
             # only the missing shards are reported, never silently dropped
+            for race in failed:
+                race.leg.error = str(self._exhausted(
+                    race, f"shard leg[{race.leg.index}]"))
             raise ShardScatterError(
                 f"sharded batch[{len(calls)}]: {len(failed)} of "
-                f"{len(races)} shard legs failed",
-                [race.leg for race in races], attempts)
+                f"{len(legs)} shard legs failed",
+                legs, [line for race in races for line in race.attempts])
 
         items: list[Optional[BatchItem]] = [None] * len(calls)
-        total = 0
-        for race in races:
-            leg = race.leg
-            total += leg.cost
+        for leg in legs:
             for pos, item in zip(leg.positions, leg.outcome.items):
                 items[pos] = item
         outcome = ScatterOutcome(
             items=tuple(items),
             # every winning leg verified VALID — a losing classification
-            # never leaves _hedge_collect — so the stitched result is too
+            # never wins a leg — so the stitched result is too
             report=VerificationReport(ResponseClass.VALID, "all-checks"),
-            amount_paid=total,
-            legs=tuple(race.leg for race in races),
+            amount_paid=sum(leg.cost for leg in legs),
+            legs=tuple(legs),
         )
         self.last_scatter = outcome
         return outcome
@@ -1053,26 +934,6 @@ class MarketplaceClient:
             ))
         return legs
 
-    def _leg_fallback(self, race: _LegRace, attempts: list[str]) -> None:
-        """Serve one leg via the serial failover path (no hedge could even
-        be launched — typically every candidate's connect failed)."""
-        leg = race.leg
-
-        def issue(session: LightClientSession) -> BatchOutcome:
-            spent_before = session.channel.spent if session.channel else 0
-            outcome = session.query_batch(leg.calls, tip=race.tip)
-            leg.cost = outcome.amount_paid - spent_before
-            leg.winner = session.full_node
-            return outcome
-
-        leg.attempts += 1
-        try:
-            leg.outcome = self._serve(
-                issue, describe=f"shard leg[{leg.index}]", want_batch=True,
-                exclude=race.tried - race.skipped, keys=leg.keys)
-        except MarketplaceError as exc:
-            leg.error = str(exc)
-
     def _require_coverage(self, calls: Sequence[RpcCall]) -> tuple[bytes, ...]:
         """The hashed keys routing ``calls``, with the coverage gate: a key
         no advertised server covers raises :class:`NoServerForKey` *before*
@@ -1087,231 +948,217 @@ class MarketplaceClient:
             keys.append(key)
         return tuple(keys)
 
-    def _hedge_launch(self, calls: tuple[RpcCall, ...], tip: int,
-                      tried: set[Address], skipped: set[Address],
-                      attempts: list[str], active: list[_HedgeEntry],
-                      keys: Sequence[bytes] = ()) -> Optional[_HedgeEntry]:
-        """Add the next-ranked batch-speaking server to the race."""
+    def _scatter_race(self, races: list[_Race], width: int,
+                      hedged: bool) -> None:
+        """Race every leg to its first response that survives §V-D.
+
+        Each leg keeps up to ``width`` paid launches in flight on distinct
+        servers; a failed launch is penalized and replaced by the leg's
+        next-ranked candidate.  Serial queries (``hedged=False``, 1×1)
+        collect their one launch as soon as it is issued, blocking on its
+        own synchrony bound, and leave no :class:`HedgeAttempt`; hedged
+        legs resolve in completion order, timed out at their deadlines.
+        """
+        for race in races:
+            for _ in range(width):
+                if not self._launch(race, hedged):
+                    break
         while True:
-            ranked = [ad for ad in self.eligible(keys=keys)
-                      if ad.address not in tried]
-            if not ranked:
-                return None
-            ad = ranked[0]
-            tried.add(ad.address)
+            active = [launch for race in races for launch in race.active]
+            if not active:
+                return
+            now, stalled = self._race_wait(active) if hedged else (None, False)
+            for race in races:
+                for launch in list(race.active):
+                    if launch not in race.active:
+                        continue   # cancelled as a loser when its leg won
+                    done = launch.pending.reply.done()
+                    expired = (now is not None and launch.deadline is not None
+                               and now >= launch.deadline)
+                    if hedged and not (done or expired or stalled):
+                        continue
+                    race.active.remove(launch)
+                    if hedged and not done:
+                        # the synchrony bound passed with the reply still in
+                        # flight: cancel and collect it, so the failover
+                        # policy hands out the transport-timeout verdict
+                        launch.pending.cancel()
+                    self._settle(race, launch, hedged)
+
+    def _launch(self, race: _Race, hedged: bool) -> bool:
+        """Put the leg in flight on its next-ranked untried server.
+
+        A multi-call leg launches only on advertised batch speakers.  A
+        speaker whose free probe says otherwise lied in its ad — that is
+        what the version-mismatch event is for — and is passed over.  Once
+        no speaker is left and nothing of the leg is in flight, the leg is
+        served per key instead: on the passed-over liars in rank order
+        (the mismatch may cost them eligibility, not the right to serve
+        what they can), then on the best-ranked non-speaker, where
+        ``query_batch`` degrades to single requests with identical §V-D
+        checks.  Returns whether a launch is now in flight.
+        """
+        leg = race.leg
+        while True:
+            ad = self._next_candidate(race.tried, race.batch, keys=leg.keys)
+            per_key = ad is None or (race.batch and not ad.speaks_batch)
+            if per_key:
+                if race.active or not race.batch:
+                    return False
+                ad = race.skipped.pop(0) if race.skipped else ad
+                if ad is None:
+                    return False
+            race.tried.add(ad.address)
             if self._in_backoff(ad.address):
-                # a leg re-issued to a shed server waits out its signed
-                # retry_after first (sim time keeps the other legs moving)
-                self._await_backoff([ad.address])
-            try:
-                session = self._session_for(ad)
-            except SessionError as exc:
-                attempts.append(f"{ad.label}: connect: {exc}")  # client-side
+                # honor the server's signed retry_after instead of joining
+                # the synchronized herd (sim time keeps other launches moving)
+                self._await_backoff(ad.address)
+            session = self._session_for(ad, race.attempts)
+            if session is None:
                 self.stats.failovers += 1
-                continue
-            except Exception as exc:  # noqa: BLE001 — connect failure ⇒ next
-                self.reputation.record(ad.address, EVENT_TIMEOUT, self._now())
-                attempts.append(f"{ad.label}: connect: {exc}")
-                self.stats.failovers += 1
-                continue
-            single = len(calls) == 1
-            if not single and not session.batch_supported():
-                if ad.speaks_batch:
-                    # the ad claimed our batch version but the probe says
-                    # otherwise — that lie is what the mismatch event is
-                    # for; an honestly-advertised legacy server is merely
-                    # passed over (and kept for the per-key fallback)
-                    self._note_version_mismatch(ad)
-                attempts.append(f"{ad.label}: no batch support")
-                skipped.add(ad.address)
                 continue
             spent_before = session.channel.spent if session.channel else 0
+            if per_key:
+                leg.attempts += 1
+                try:
+                    outcome = session.query_batch(leg.calls, tip=race.tip)
+                except SessionError as exc:
+                    self._penalize_failure(race, ad, exc)
+                    continue
+                self._win(race, ad, outcome, outcome.amount_paid - spent_before)
+                return False
+            if race.batch and not session.batch_supported():
+                self._note_version_mismatch(ad)
+                race.attempts.append(f"{ad.label}: no batch support")
+                race.skipped.append(ad)
+                continue
             try:
-                pending = (session.begin_request(calls[0], tip=tip) if single
-                           else session.begin_batch(calls, tip=tip))
+                pending = (session.begin_batch(leg.calls, tip=race.tip)
+                           if race.batch else
+                           session.begin_request(leg.calls[0], tip=race.tip))
             except SessionError as exc:
                 # local condition (typically an exhausted channel budget)
-                attempts.append(f"{ad.label}: session: {exc}")
-                self.stats.failovers += 1
+                self._penalize_failure(race, ad, exc)
                 continue
-            attempt = HedgeAttempt(address=ad.address, label=ad.label,
-                                   pending=pending)
-            self.last_hedge.append(attempt)
-            self.stats.hedge_launches += 1
-            entry = _HedgeEntry(
+            attempt = None
+            if hedged:
+                attempt = HedgeAttempt(address=ad.address, label=ad.label,
+                                       pending=pending)
+                self.last_hedge.append(attempt)
+                self.stats.hedge_launches += 1
+            race.active.append(_Launch(
                 ad=ad, session=session, pending=pending,
-                deadline=self._hedge_deadline(session), attempt=attempt,
-                cost=pending.request.a - spent_before,
-            )
-            active.append(entry)
-            return entry
+                deadline=self._deadline(session),
+                cost=pending.request.a - spent_before, attempt=attempt,
+            ))
+            leg.attempts += 1
+            return True
 
-    def _hedge_deadline(self, session: LightClientSession) -> Optional[float]:
-        """When this leg's synchrony bound expires (None for in-process
+    def _deadline(self, session: LightClientSession) -> Optional[float]:
+        """When a launch's synchrony bound expires (None for in-process
         endpoints, whose replies resolve at submit time)."""
         network = getattr(session.endpoint, "network", None)
         if network is None:
             return None
         timeout = getattr(session.endpoint, "timeout", None)
-        if timeout is None:
-            timeout = DEFAULT_TIMEOUT
-        return network.clock.now() + timeout
+        return network.clock.now() + (DEFAULT_TIMEOUT if timeout is None
+                                      else timeout)
 
-    def _hedge_clock(self, active: list[_HedgeEntry]):
-        """The race's notion of "now": the first networked leg's sim clock.
+    def _race_wait(self, active: list[_Launch],
+                   ) -> tuple[Optional[float], bool]:
+        """Drive the event loop until the first launch resolves (or the
+        nearest synchrony bound passes); returns ``(now, stalled)``.
 
-        Races are built from endpoints on one simulated network (every
-        in-repo construction); legs on a *different* network still get
-        their loop driven by ``wait_any``'s per-driver groups, but their
-        deadlines are read against this clock, so keep a race on one
-        network when timeout precision matters.
+        ``now`` is the first networked launch's sim clock (None without
+        one; keep a race on one network when timeout precision matters).
+        ``stalled`` flags a clockless race that a full default-bound wait
+        could not resolve — timing it out keeps it from spinning forever.
         """
-        for entry in active:
-            network = getattr(entry.session.endpoint, "network", None)
-            if network is not None:
-                return network.clock
-        return None
+        replies = [launch.pending.reply for launch in active]
+        networks = (getattr(launch.session.endpoint, "network", None)
+                    for launch in active)
+        clock = next((n.clock for n in networks if n is not None), None)
+        if not any(reply.done() for reply in replies):
+            if clock is None:
+                wait_any(replies)
+            else:
+                deadlines = [launch.deadline for launch in active
+                             if launch.deadline is not None]
+                horizon = (min(deadlines) - clock.now()) if deadlines else None
+                if horizon is None or horizon > 0:   # else: overdue launch
+                    wait_any(replies, timeout=horizon)
+        now = clock.now() if clock is not None else None
+        return now, now is None and not any(r.done() for r in replies)
 
-    def _hedge_wait(self, active: list[_HedgeEntry]) -> None:
-        """Drive the event loop until the first active leg resolves (or the
-        nearest synchrony bound passes)."""
-        replies = [entry.pending.reply for entry in active]
-        if any(reply.done() for reply in replies):
-            return
-        clock = self._hedge_clock(active)
-        if clock is None:
-            # no sim clock to race deadlines against: let the replies' own
-            # drivers (if any) run one full default bound; whatever is still
-            # pending afterwards gets timed out by the caller
-            wait_any(replies)
-            return
-        deadlines = [entry.deadline for entry in active
-                     if entry.deadline is not None]
-        horizon = (min(deadlines) - clock.now()) if deadlines else None
-        if horizon is not None and horizon <= 0:
-            return  # an overdue leg is waiting to be timed out
-        wait_any(replies, timeout=horizon)
-
-    def _hedge_collect(self, entry: _HedgeEntry, attempts: list[str],
-                       tried: Optional[set[Address]] = None,
-                       ) -> Optional[BatchOutcome]:
-        """Verify one resolved leg; None means it lost (and was penalized).
-
-        With ``tried`` given, an ``Overloaded`` loss *defers* instead of
-        burning the server for the whole race: up to
-        :data:`MAX_OVERLOAD_DEFERS` times per race the shed server leaves
-        ``tried`` again, so the replacement launch can come back to it once
-        its retry_after has been waited out.
-        """
+    def _settle(self, race: _Race, launch: _Launch, hedged: bool) -> None:
+        """Collect one resolved launch: a verified response wins the leg,
+        anything else is penalized and replaced."""
         try:
-            outcome = entry.session.collect(entry.pending)
-        except (FraudDetected, InvalidResponse, SessionError) as exc:
-            tag, line = self._penalize_failure(entry.ad, exc)
-            entry.attempt.outcome = tag
-            entry.attempt.detail = (exc.report.check
-                                    if isinstance(exc, (FraudDetected,
-                                                        InvalidResponse))
-                                    else str(exc))
-            attempts.append(line)
-            self.stats.failovers += 1
-            if tag == "overloaded" and tried is not None:
-                sheds = sum(1 for a in self.last_hedge
-                            if a.address == entry.ad.address
-                            and a.outcome == "overloaded")
-                if sheds <= MAX_OVERLOAD_DEFERS:
-                    tried.discard(entry.ad.address)
-            return None
-        entry.attempt.outcome = "won"
-        if isinstance(outcome, RequestOutcome):  # single-call leg
-            outcome = BatchOutcome(
-                items=(BatchItem(
-                    call=entry.pending.call, status=outcome.response.status,
-                    result=outcome.response.result, report=outcome.report,
-                ),),
-                report=outcome.report, amount_paid=outcome.amount_paid,
-                batched=False,
-            )
-        return outcome
+            outcome = launch.session.collect(launch.pending)
+        except SessionError as exc:
+            self._penalize_failure(race, launch.ad, exc, launch.attempt)
+            self._launch(race, hedged)
+            return
+        if launch.attempt is not None:
+            launch.attempt.outcome = "won"
+        self._win(race, launch.ad, outcome, launch.cost)
 
-    def _hedge_win(self, winner: _HedgeEntry,
-                   losers: list[_HedgeEntry]) -> None:
-        """Settle the race: cancel in-flight losers, credit the winner."""
-        for loser in losers:
+    def _win(self, race: _Race, ad: ServerAdvertisement, outcome: Any,
+             cost: int) -> None:
+        """Settle a leg: cancel its in-flight losers, credit the winner."""
+        for loser in race.active:
             if loser.pending.cancel():
                 loser.attempt.outcome = "cancelled"
                 self.stats.hedges_cancelled += 1
             else:
                 loser.attempt.outcome = "unused"  # arrived, never read
-        self._cold.pop(winner.ad.address, None)
-        self._clear_backoff(winner.ad.address)
-        self.reputation.record(winner.ad.address, EVENT_SERVED_OK, self._now())
+        race.active.clear()
+        self._cold.pop(ad.address, None)
+        self._clear_backoff(ad.address)
+        self.reputation.record(ad.address, EVENT_SERVED_OK, self._now())
         self.stats.queries += 1
+        race.result = outcome
+        leg = race.leg
+        leg.winner, leg.cost = ad.address, cost
+        if isinstance(outcome, RequestOutcome):   # the single-request wire
+            outcome = BatchOutcome(
+                items=(BatchItem(
+                    call=leg.calls[0], status=outcome.response.status,
+                    result=outcome.response.result, report=outcome.report,
+                ),),
+                report=outcome.report, amount_paid=outcome.amount_paid,
+                batched=False,
+            )
+        leg.outcome = outcome
 
-    def _serve(self, issue, describe: str, want_batch: bool = False,
-               exclude: Optional[set[Address]] = None,
-               keys: Sequence[bytes] = ()):
-        tried: set[Address] = set(exclude or ())
-        #: per-query overload defers: a shed server leaves ``tried`` again
-        #: (after its backoff) until the defer budget is spent
-        deferred: dict[Address, int] = {}
-        attempts: list[str] = []
-        while True:
-            ad = self._next_candidate(tried, want_batch, keys=keys)
-            if ad is None:
-                detail = f"{describe}: every eligible server failed"
-                if keys and not attempts and not tried:
-                    detail = (f"{describe}: no single eligible server covers "
-                              f"all {len(keys)} state keys — scatter the "
-                              "batch via query_sharded")
-                raise MarketplaceError(detail, attempts)
-            tried.add(ad.address)
-            if self._in_backoff(ad.address):
-                # honor the server's retry_after before re-issuing, instead
-                # of joining the synchronized herd hammering it
-                self._await_backoff([ad.address])
-            try:
-                session = self._session_for(ad)
-            except SessionError as exc:
-                attempts.append(f"{ad.label}: connect: {exc}")  # client-side
-                self.stats.failovers += 1
-                continue
-            except Exception as exc:  # noqa: BLE001 — connect failure ⇒ failover
-                self.reputation.record(ad.address, EVENT_TIMEOUT, self._now())
-                attempts.append(f"{ad.label}: connect: {exc}")
-                self.stats.failovers += 1
-                continue
-            if want_batch and not session.batch_supported():
-                self._note_version_mismatch(ad)
-            try:
-                outcome = issue(session)
-            except (FraudDetected, InvalidResponse, SessionError) as exc:
-                tag, line = self._penalize_failure(ad, exc)
-                attempts.append(line)
-                self.stats.failovers += 1
-                if tag == "overloaded":
-                    count = deferred.get(ad.address, 0) + 1
-                    deferred[ad.address] = count
-                    if count <= MAX_OVERLOAD_DEFERS:
-                        # a shed is a "come back later", not a verdict:
-                        # keep the server retryable for this query
-                        tried.discard(ad.address)
-                continue
-            self._cold.pop(ad.address, None)
-            self._clear_backoff(ad.address)
-            self.reputation.record(ad.address, EVENT_SERVED_OK, self._now())
-            self.stats.queries += 1
-            return outcome
+    @staticmethod
+    def _exhausted(race: _Race, describe: str) -> MarketplaceError:
+        """The typed error for a leg every eligible server failed."""
+        keys = race.leg.keys
+        if keys and not race.attempts and not race.tried:
+            return MarketplaceError(
+                f"{describe}: no single eligible server covers all "
+                f"{len(keys)} state keys — scatter the batch via "
+                "query_sharded")
+        return MarketplaceError(f"{describe}: every eligible server failed",
+                                race.attempts)
 
-    def _penalize_failure(self, ad: ServerAdvertisement,
-                          exc: SessionError) -> tuple[str, str]:
-        """The one failover policy, shared by the serial path and the hedged
-        race: record reputation/stats for a failed attempt and return an
-        ``(outcome tag, attempts-log line)`` pair."""
+    def _penalize_failure(self, race: _Race, ad: ServerAdvertisement,
+                          exc: SessionError,
+                          attempt: Optional[HedgeAttempt] = None) -> None:
+        """The one failover policy: record reputation and stats for a failed
+        issue, and log it on the leg (and its hedge attempt, if any).
+
+        An ``Overloaded`` shed *defers* instead of burning the server for
+        the leg: up to :data:`MAX_OVERLOAD_DEFERS` times per leg it leaves
+        ``tried`` again, so a later launch can come back to it once its
+        retry_after has been waited out.
+        """
         if isinstance(exc, FraudDetected):
             self._on_fraud(ad, exc)
             self._replenish()
-            return "fraud", f"{ad.label}: fraud [{exc.report.check}]"
-        if isinstance(exc, InvalidResponse):
+            tag, line = "fraud", f"{ad.label}: fraud [{exc.report.check}]"
+        elif isinstance(exc, InvalidResponse):
             if exc.report.check == "transport":
                 kind = EVENT_TIMEOUT       # silent/dead/partitioned server
                 self._cold[ad.address] = self._cold.get(ad.address, 0) + 1
@@ -1323,8 +1170,8 @@ class MarketplaceClient:
                 self._share_event(ad.address, kind,
                                   exc.report.check.encode("utf-8"))
             self.reputation.record(ad.address, kind, self._now())
-            return tag, f"{ad.label}: {kind} [{exc.report.check}]"
-        if isinstance(exc, ServerOverloaded):
+            line = f"{ad.label}: {kind} [{exc.report.check}]"
+        elif isinstance(exc, ServerOverloaded):
             # *soft* failure: a signed, honest shed — no session retirement,
             # no cold streak, no hard reputation slash (the soft-weighted
             # breadcrumb only re-ranks).  The server's retry_after goes into
@@ -1332,16 +1179,30 @@ class MarketplaceClient:
             self.stats.soft_failovers += 1
             self.reputation.record(ad.address, EVENT_OVERLOADED, self._now())
             self._note_overload(ad.address, exc.retry_after)
-            return ("overloaded",
-                    f"{ad.label}: overloaded "
+            tag = "overloaded"
+            line = (f"{ad.label}: overloaded "
                     f"(retry in {exc.retry_after:.3f}s)")
-        # plain SessionError: a local condition (most commonly this channel's
-        # budget is exhausted) — not the server's fault, no reputation event
-        return "session-error", f"{ad.label}: session: {exc}"
+            defers = race.deferred.get(ad.address, 0) + 1
+            race.deferred[ad.address] = defers
+            if defers <= MAX_OVERLOAD_DEFERS:
+                race.tried.discard(ad.address)
+        else:
+            # plain SessionError: a local condition (most commonly this
+            # channel's budget is exhausted) — not the server's fault, no
+            # reputation event
+            tag, line = "session-error", f"{ad.label}: session: {exc}"
+        race.attempts.append(line)
+        self.stats.failovers += 1
+        if attempt is not None:
+            report = getattr(exc, "report", None)
+            attempt.outcome = tag
+            attempt.detail = report.check if report is not None else str(exc)
 
     def _next_candidate(self, tried: set[Address], want_batch: bool,
                         keys: Sequence[bytes] = (),
                         ) -> Optional[ServerAdvertisement]:
+        """The best-ranked untried server (advertised batch speakers first
+        when ``want_batch``)."""
         ranked = [ad for ad in self.eligible(keys=keys)
                   if ad.address not in tried]
         if not ranked:
@@ -1354,7 +1215,8 @@ class MarketplaceClient:
         return ranked[0]
 
     def _note_version_mismatch(self, ad: ServerAdvertisement) -> None:
-        """Record (once per server) that it cannot serve our batch version."""
+        """Record (once per server) that its ad claimed our batch version
+        but its probe says otherwise — never for an honest legacy ad."""
         if ad.address in self._mismatch_noted:
             return
         self._mismatch_noted.add(ad.address)

@@ -266,8 +266,45 @@ def _param_to_item(value: Any) -> rlp.Item:
 # Request
 # --------------------------------------------------------------------------- #
 
+def _recover(digest: bytes, sig: bytes, what: str) -> Address:
+    """The signer of ``digest``; a malformed signature is a MessageError."""
+    try:
+        return recover_address(digest, Signature.from_bytes(sig))
+    except SignatureError as exc:
+        raise MessageError(f"bad {what} signature: {exc}") from exc
+
+
+class _PaidRequest:
+    """Step (B) for both request formats: the digest, then the request and
+    payment signatures, then the signer match.  Subclasses name themselves
+    in the error strings (``_noun``, and ``_signature`` for bad
+    signatures)."""
+
+    _noun = "request"
+    _signature = "request"
+
+    def verify(self, expected_sender: Optional[Address] = None) -> Address:
+        """Full-node-side request verification (step (B) in Fig. 5).
+
+        Checks the digest reconstruction and both signatures; returns the
+        recovered light-client address.
+        """
+        noun = self._noun
+        if self.h_req != self.expected_digest():
+            raise MessageError(f"{noun} hash does not match {noun} contents")
+        req_signer = _recover(self.h_req, self.sig_req, self._signature)
+        pay_signer = _recover(payment_digest(self.alpha, self.a), self.sig_a,
+                              self._signature)
+        if req_signer != pay_signer:
+            raise MessageError(f"{noun} and payment signed by different keys")
+        if expected_sender is not None and req_signer != expected_sender:
+            raise MessageError(
+                f"{noun} signer is not the channel's light client")
+        return req_signer
+
+
 @dataclass(frozen=True)
-class PARPRequest:
+class PARPRequest(_PaidRequest):
     """A signed PARP request (Fig. 3, left)."""
 
     alpha: bytes
@@ -323,27 +360,6 @@ class PARPRequest:
 
     def expected_digest(self) -> bytes:
         return request_digest(self.alpha, self.h_b, self.a, self.call.encode())
-
-    def verify(self, expected_sender: Optional[Address] = None) -> Address:
-        """Full-node-side request verification (step (B) in Fig. 5).
-
-        Checks the digest reconstruction and both signatures; returns the
-        recovered light-client address.
-        """
-        if self.h_req != self.expected_digest():
-            raise MessageError("request hash does not match request contents")
-        try:
-            req_signer = recover_address(self.h_req, Signature.from_bytes(self.sig_req))
-            pay_signer = recover_address(
-                payment_digest(self.alpha, self.a), Signature.from_bytes(self.sig_a)
-            )
-        except SignatureError as exc:
-            raise MessageError(f"bad request signature: {exc}") from exc
-        if req_signer != pay_signer:
-            raise MessageError("request and payment signed by different keys")
-        if expected_sender is not None and req_signer != expected_sender:
-            raise MessageError("request signer is not the channel's light client")
-        return req_signer
 
     @property
     def wire_overhead(self) -> int:
@@ -405,10 +421,7 @@ class PARPResponse:
 
     def signer(self, alpha: bytes) -> Address:
         """Recover the full-node address that signed this response."""
-        try:
-            return recover_address(self.digest(alpha), Signature.from_bytes(self.sig_res))
-        except SignatureError as exc:
-            raise MessageError(f"bad response signature: {exc}") from exc
+        return _recover(self.digest(alpha), self.sig_res, "response")
 
     # -- wire ------------------------------------------------------------- #
 
@@ -588,11 +601,7 @@ class OverloadedReply:
                                self.fee_multiplier_millis, self.h_req)
 
     def signer(self) -> Address:
-        try:
-            return recover_address(self.digest(),
-                                   Signature.from_bytes(self.sig_ovl))
-        except SignatureError as exc:
-            raise MessageError(f"bad overload signature: {exc}") from exc
+        return _recover(self.digest(), self.sig_ovl, "overload")
 
     def verify(self, expected_signer: Optional[Address] = None,
                expected_h_req: Optional[bytes] = None) -> Address:
@@ -614,7 +623,7 @@ class OverloadedReply:
 # --------------------------------------------------------------------------- #
 
 @dataclass(frozen=True)
-class BatchRequest:
+class BatchRequest(_PaidRequest):
     """N RPC calls paid for by ONE channel update.
 
     Structurally a :class:`PARPRequest` whose γ is a *list* of calls and whose
@@ -632,6 +641,9 @@ class BatchRequest:
     h_req: bytes
     sig_a: bytes
     sig_req: bytes
+
+    _noun = "batch"
+    _signature = "batch request"
 
     @staticmethod
     def _calls_bytes(calls: Sequence[RpcCall]) -> bytes:
@@ -700,23 +712,6 @@ class BatchRequest:
             self._calls_bytes(self.calls),
         )
 
-    def verify(self, expected_sender: Optional[Address] = None) -> Address:
-        """Full-node-side batch verification; mirrors PARPRequest.verify."""
-        if self.h_req != self.expected_digest():
-            raise MessageError("batch hash does not match batch contents")
-        try:
-            req_signer = recover_address(self.h_req, Signature.from_bytes(self.sig_req))
-            pay_signer = recover_address(
-                payment_digest(self.alpha, self.a), Signature.from_bytes(self.sig_a)
-            )
-        except SignatureError as exc:
-            raise MessageError(f"bad batch request signature: {exc}") from exc
-        if req_signer != pay_signer:
-            raise MessageError("batch and payment signed by different keys")
-        if expected_sender is not None and req_signer != expected_sender:
-            raise MessageError("batch signer is not the channel's light client")
-        return req_signer
-
     @property
     def wire_overhead(self) -> int:
         return BATCH_REQUEST_OVERHEAD_BYTES
@@ -780,10 +775,7 @@ class BatchResponse:
         )
 
     def signer(self, alpha: bytes) -> Address:
-        try:
-            return recover_address(self.digest(alpha), Signature.from_bytes(self.sig_res))
-        except SignatureError as exc:
-            raise MessageError(f"bad batch response signature: {exc}") from exc
+        return _recover(self.digest(alpha), self.sig_res, "batch response")
 
     # -- per-item view ------------------------------------------------------ #
 

@@ -416,6 +416,14 @@ class FullNodeServer:
         return out
 
     def _verify_request(self, request: PARPRequest) -> PARPRequest:
+        return self._verify_and_bank(
+            request, "request", lambda: self.fee_schedule.price(request.call))
+
+    def _verify_and_bank(self, request, noun: str, price_of,
+                         queries: int = 1):
+        """Step (B) for either request format: find the channel, verify the
+        signed message against its light client, then bank the payment
+        (``price_of()`` is the fee it must cover, for ``queries`` queries)."""
         channel, lock = self._channel_and_lock(request.alpha)
         if channel is None:
             self._bump("requests_rejected")
@@ -424,12 +432,14 @@ class FullNodeServer:
             request.verify(expected_sender=channel.light_client)
         except MessageError as exc:
             self._bump("requests_rejected")
-            raise ServeError(f"request verification failed: {exc}") from exc
-        price = self.fee_schedule.price(request.call)
+            raise ServeError(f"{noun} verification failed: {exc}") from exc
+        price = price_of()
         with lock:
             previous = channel.latest_amount
             try:
-                channel.accept_request_payment(request, min_increment=price)
+                channel.accept_request_payment(
+                    request, min_increment=price, queries=queries,
+                )
             except ChannelError as exc:
                 self._bump("requests_rejected")
                 raise ServeError(f"payment rejected: {exc}") from exc
@@ -660,28 +670,9 @@ class FullNodeServer:
                 f"unsupported batch protocol version {batch.version} "
                 f"(this server speaks {BATCH_PROTOCOL_VERSION})"
             )
-        channel, lock = self._channel_and_lock(batch.alpha)
-        if channel is None:
-            self._bump("requests_rejected")
-            raise ServeError(f"unknown channel {batch.alpha.hex()}")
-        try:
-            batch.verify(expected_sender=channel.light_client)
-        except MessageError as exc:
-            self._bump("requests_rejected")
-            raise ServeError(f"batch verification failed: {exc}") from exc
-        price = self.fee_schedule.batch_price(batch.calls)
-        with lock:
-            previous = channel.latest_amount
-            try:
-                channel.accept_request_payment(
-                    batch, min_increment=price, queries=len(batch.calls),
-                )
-            except ChannelError as exc:
-                self._bump("requests_rejected")
-                raise ServeError(f"payment rejected: {exc}") from exc
-            earned = channel.latest_amount - previous
-        self._bump("fees_earned", earned)
-        return batch
+        return self._verify_and_bank(
+            batch, "batch", lambda: self.fee_schedule.batch_price(batch.calls),
+            queries=len(batch.calls))
 
     def _execute_batch_and_sign(self, batch: BatchRequest) -> BatchResponse:
         if self.node.chain.get_block_by_hash(batch.h_b) is None:

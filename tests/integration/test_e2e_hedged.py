@@ -23,6 +23,8 @@ from repro.net import (
 from repro.node import Devnet
 from repro.parp import (
     BATCH_PROTOCOL_VERSION,
+    AdmissionConfig,
+    AdmissionController,
     FlatFeeSchedule,
     FullNodeServer,
     Marketplace,
@@ -33,7 +35,7 @@ from repro.parp.adversary import MaliciousFullNodeServer
 from repro.parp.fraudproof import WitnessService
 from repro.parp.messages import RpcCall
 from repro.parp.pricing import GWEI
-from repro.parp.reputation import EVENT_TIMEOUT
+from repro.parp.reputation import EVENT_SERVED_OK, EVENT_TIMEOUT
 
 TOKEN = 10 ** 18
 BUDGET = 10 ** 15
@@ -365,3 +367,66 @@ class TestTimeoutRace:
         assert {a.outcome for a in client.last_hedge} == {"timeout"}
         for attempt in client.last_hedge:
             assert attempt.pending.reply.cancelled()
+
+
+#: the three public entry points, each asked for one balance: serial (1×1),
+#: hedged at width one (1×1), and a scatter over a full-range directory
+#: (one leg × 1)
+ENTRY_POINTS = {
+    "request_call": lambda client, call: client.request_call(call),
+    "query_hedged": lambda client, call: client.query_hedged([call], fanout=1),
+    "query_sharded": lambda client, call: client.query_sharded([call]),
+}
+
+
+class TestOneRaceEngine:
+    """Serial, hedged and sharded queries are one race engine: at width one
+    the same fault on the top-ranked server must leave the same trail
+    whichever entry point routed the query."""
+
+    @staticmethod
+    def run(fault, entry):
+        world = HedgeWorld(latencies=[0.02, 0.02], prices_gwei=[2, 10],
+                           evil_index=0 if fault in ("invalid", "fraud")
+                           else None,
+                           attack=("wrong_signature" if fault == "invalid"
+                                   else "inflate_balance"))
+        client = world.client
+        if fault == "connect":
+            def refuse(*args):
+                raise ConnectionError("handshake refused")
+            world.servers[0].handshake = refuse   # never bonded beforehand
+        else:
+            world.connect(min_sessions=2)
+        if fault == "timeout":
+            world.bindings[0].offline = True
+        elif fault == "overload":
+            # a queue too small for even one query: every request sheds
+            world.servers[0].admission = AdmissionController(
+                AdmissionConfig(max_queue_cost=0.5, service_time=0.1, seed=1),
+                clock=world.network.clock)
+
+        ENTRY_POINTS[entry](client, world.balance_call())
+
+        sessions = list(client.sessions.items()) + client.retired
+        return {
+            "events": {server.node.name: [
+                (e.kind, e.time)
+                for e in client.reputation.events_of(server.address)]
+                for server in world.servers},
+            "failovers": client.stats.failovers,
+            "soft_failovers": client.stats.soft_failovers,
+            "acked": {address: session.channel.acked
+                      for address, session in sessions},
+        }
+
+    @pytest.mark.parametrize(
+        "fault", ["connect", "invalid", "fraud", "timeout", "overload"])
+    def test_entry_points_leave_identical_trails(self, fault):
+        trails = {entry: self.run(fault, entry) for entry in ENTRY_POINTS}
+        serial = trails["request_call"]
+        assert serial["failovers"] >= 1
+        first_kinds = [kind for kind, _ in serial["events"]["srv-0"]]
+        assert first_kinds and first_kinds[0] != EVENT_SERVED_OK
+        assert trails["query_hedged"] == serial
+        assert trails["query_sharded"] == serial

@@ -394,3 +394,42 @@ class TestBatchVersionMismatch:
         # recorded once, even across repeated batches
         client.query_batch(calls)
         assert client.stats.version_mismatches == 1
+
+    @pytest.mark.parametrize("entry", ["query_batch", "query_hedged"])
+    def test_honest_legacy_advertisement_is_not_a_mismatch(self, entry):
+        """A server that honestly advertises no batch version is served per
+        key without a version-mismatch penalty: the event exists for ads
+        that lie, not for servers that never claimed to batch."""
+
+        class LegacyServer(FullNodeServer):
+            def batch_protocol_version(self) -> int:
+                return BATCH_PROTOCOL_VERSION + 7   # speaks something else
+
+        operators = [PrivateKey.from_seed("e2e:honest-legacy:op")]
+        lc = PrivateKey.from_seed("e2e:honest-legacy:lc")
+        alice = PrivateKey.from_seed("e2e:honest-legacy:alice")
+        allocations = {k.address: 100 * TOKEN for k in operators + [lc]}
+        allocations[alice.address] = 5 * TOKEN
+        devnet = Devnet(GenesisConfig(allocations=allocations))
+        devnet.stake_full_node(operators[0])
+        devnet.advance_blocks(2)
+
+        legacy = LegacyServer(FullNode(devnet.chain, key=operators[0],
+                                       name="legacy"),
+                              fee_schedule=FlatFeeSchedule(flat_price=2 * GWEI))
+        marketplace = Marketplace()
+        marketplace.advertise(ServerAdvertisement(
+            address=legacy.address, endpoint=legacy,
+            fee_schedule=legacy.fee_schedule, batch_version=None,
+            name="legacy"))
+        client = MarketplaceClient(lc, marketplace, budget=BUDGET)
+        client.connect()
+
+        calls = [RpcCall.create("eth_getBalance", alice.address)] * 2
+        outcome = getattr(client, entry)(calls)
+        assert not outcome.batched          # served per key
+        assert all(item.ok for item in outcome.items)
+        assert client.stats.version_mismatches == 0
+        kinds = [e.kind for e in client.reputation.events_of(legacy.address)]
+        assert "version_mismatch" not in kinds
+        assert EVENT_SERVED_OK in kinds
