@@ -22,7 +22,7 @@ _EXPORTS = {
     "InvalidResponse": "client", "FraudDetected": "client",
     "ServerOverloaded": "client",
     "BatchItem": "client", "BatchOutcome": "client",
-    "PendingRequest": "client", "PendingBatch": "client",
+    "PendingRequest": "client",
     # server
     "FullNodeServer": "server", "ServeError": "server", "ServerStats": "server",
     # admission

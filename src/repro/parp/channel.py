@@ -12,10 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..crypto import Signature, SignatureError, recover_address
+from ..crypto import SignatureError
 from ..crypto.keys import Address
 from .constants import ALPHA_BYTES, MAX_AMOUNT
-from .messages import PARPRequest, payment_digest
+from .messages import PARPRequest
 
 __all__ = ["ChannelError", "ClientChannel", "ServerChannel"]
 
@@ -109,8 +109,9 @@ class ServerChannel:
         covering the fee, within budget, and a payment signature that
         recovers to the channel's light client.  ``queries`` is how many
         individual queries this one channel update pays for (N for a batch);
-        any request-shaped message carrying (α, a, σ_a) is accepted, so
-        :class:`~repro.parp.messages.BatchRequest` banks the same way.
+        :class:`~repro.parp.messages.BatchRequest` banks the same way.  The
+        σ_a signer comes from the request's memoised ``payer``, so a request
+        that already passed step (B) is not recovered a second time.
         """
         if self.closed:
             raise ChannelError("channel is closed")
@@ -124,10 +125,7 @@ class ServerChannel:
         if request.a > self.budget:
             raise ChannelError("cumulative amount exceeds channel budget")
         try:
-            signer = recover_address(
-                payment_digest(self.alpha, request.a),
-                Signature.from_bytes(request.sig_a),
-            )
+            signer = request.payer   # recovered once, shared with step (B)
         except (SignatureError, ValueError) as exc:
             raise ChannelError(f"bad payment signature: {exc}") from exc
         if signer != self.light_client:

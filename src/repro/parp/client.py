@@ -19,7 +19,7 @@ The paid request path (§IV-E.3, steps (A) and (D) of Fig. 5):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Optional, Protocol, Sequence, Union
+from typing import Any, Callable, Optional, Protocol, Sequence, Union
 
 from ..chain.header import BlockHeader
 from ..chain.transaction import Transaction, UnsignedTransaction
@@ -67,7 +67,6 @@ __all__ = [
     "BatchItem",
     "BatchOutcome",
     "PendingRequest",
-    "PendingBatch",
     "LightClientSession",
 ]
 
@@ -184,39 +183,38 @@ class BatchOutcome:
     def __len__(self) -> int:
         return len(self.items)
 
+    @classmethod
+    def per_key(cls, outcomes: Sequence[RequestOutcome],
+                report: VerificationReport) -> "BatchOutcome":
+        """Single-request rounds, one per call, shaped as an unbatched
+        batch outcome (``amount_paid`` is the last round's)."""
+        return cls(
+            items=tuple(BatchItem(call=o.request.call, status=o.response.status,
+                                  result=o.response.result, report=o.report)
+                        for o in outcomes),
+            report=report, amount_paid=outcomes[-1].amount_paid,
+            batched=False,
+        )
+
 
 @dataclass
 class PendingRequest:
-    """A signed, paid, submitted — but not yet verified — request.
+    """A signed, paid, submitted — but not yet verified — request or batch.
 
-    Produced by :meth:`LightClientSession.begin_request`; hand it back to
+    Produced by :meth:`LightClientSession.begin_request` and
+    :meth:`~LightClientSession.begin_batch`; hand it back to
     :meth:`LightClientSession.collect` to wait for the reply and run the
     §V-D checks.  The payment left the budget at submit time; cancelling
     abandons the correlation (the channel keeps ``spent > acked``, and the
     unacked amount is not volunteered at closure).
     """
 
-    request: PARPRequest
-    call: RpcCall
+    request: Union[PARPRequest, BatchRequest]
     reply: PendingReply
     collected: bool = field(default=False, compare=False)
 
     def cancel(self) -> bool:
         """Abandon the in-flight request; True if it had not resolved."""
-        return self.reply.cancel()
-
-
-@dataclass
-class PendingBatch:
-    """A signed, paid, submitted — but not yet verified — batch."""
-
-    request: BatchRequest
-    calls: tuple[RpcCall, ...]
-    reply: PendingReply
-    collected: bool = field(default=False, compare=False)
-
-    def cancel(self) -> bool:
-        """Abandon the in-flight batch; True if it had not resolved."""
         return self.reply.cancel()
 
 
@@ -382,46 +380,53 @@ class LightClientSession:
         collect time and failover handles it).  Hedged queries are immune:
         each race leg rides its own channel.
         """
-        if self.state is not LightClientState.BONDED or self.channel is None:
-            raise SessionError(f"no bonded channel (state={self.state.value})")
-        price = self.fee_schedule.price(call) + tip
-        try:
-            amount = self.channel.next_amount(price)
-        except ChannelError as exc:
-            raise SessionError(str(exc)) from exc
-
-        request = self.build_request(call, amount)
-        self.channel.record_request(amount)
-        reply = self._submit("serve_request", request.encode_wire())
-        return PendingRequest(request=request, call=call, reply=reply)
+        return self._issue(
+            "serve_request", lambda: self.fee_schedule.price(call) + tip,
+            lambda amount: self.build_request(call, amount))
 
     def begin_batch(self, calls: Sequence[RpcCall],
-                    tip: int = 0) -> PendingBatch:
+                    tip: int = 0) -> PendingRequest:
         """Non-blocking :meth:`query_batch` issue (no per-key fallback:
         callers that want it use the blocking adapter, which probes first).
         """
-        if self.state is not LightClientState.BONDED or self.channel is None:
-            raise SessionError(f"no bonded channel (state={self.state.value})")
-        calls = tuple(calls)
-        if not calls:
-            raise SessionError("a batch needs at least one call")
+        calls = self._batch_calls(calls)
         if not self.batch_supported():
             raise SessionError(
                 "endpoint does not speak our batch protocol version; "
                 "use query_batch for the per-key fallback"
             )
-        price = self.fee_schedule.batch_price(calls) + tip
+        return self._issue(
+            "serve_batch", lambda: self.fee_schedule.batch_price(calls) + tip,
+            lambda amount: self.build_batch_request(calls, amount))
+
+    def _require_bonded(self) -> None:
+        if self.state is not LightClientState.BONDED or self.channel is None:
+            raise SessionError(f"no bonded channel (state={self.state.value})")
+
+    def _batch_calls(self, calls: Sequence[RpcCall]) -> tuple[RpcCall, ...]:
+        self._require_bonded()
+        calls = tuple(calls)
+        if not calls:
+            raise SessionError("a batch needs at least one call")
+        return calls
+
+    def _issue(self, method: str, price_of: Callable[[], int],
+               build: Callable[[int], Union[PARPRequest, BatchRequest]],
+               ) -> PendingRequest:
+        """Step (A) for either wire: price the round into the next
+        cumulative amount, ``build(amount)`` the signed request, commit the
+        amount to the channel, and submit."""
+        self._require_bonded()
         try:
-            amount = self.channel.next_amount(price)
+            amount = self.channel.next_amount(price_of())
         except ChannelError as exc:
             raise SessionError(str(exc)) from exc
-
-        request = self.build_batch_request(calls, amount)
+        request = build(amount)
         self.channel.record_request(amount)
-        reply = self._submit("serve_batch", request.encode_wire())
-        return PendingBatch(request=request, calls=calls, reply=reply)
+        return PendingRequest(request=request,
+                              reply=self._submit(method, request.encode_wire()))
 
-    def collect(self, pending: Union[PendingRequest, PendingBatch],
+    def collect(self, pending: PendingRequest,
                 ) -> Union[RequestOutcome, BatchOutcome]:
         """Wait for the correlated reply and verify it (step (D)).
 
@@ -443,7 +448,7 @@ class LightClientSession:
             raise InvalidResponse(VerificationReport(
                 ResponseClass.INVALID, "transport", str(exc),
             )) from exc
-        if isinstance(pending, PendingBatch):
+        if isinstance(pending.request, BatchRequest):
             return self.process_batch_response(pending.request, raw)
         return self.process_response(pending.request, raw)
 
@@ -482,9 +487,21 @@ class LightClientSession:
 
     def process_response(self, request: PARPRequest, raw: bytes) -> RequestOutcome:
         """Step (D): decode, header-sync, classify, and act on a response."""
+        response, report = self._receive(request, raw, PARPResponse,
+                                         classify_response)
+        return self._conclude(
+            RequestOutcome(request=request, response=response, report=report,
+                           amount_paid=request.a),
+            lambda: self._try_build_package(request, response))
+
+    def _receive(self, request: Union[PARPRequest, BatchRequest], raw: bytes,
+                 response_cls: type, classify: Callable) -> tuple[Any, Any]:
+        """Step (D) up to the verdict, for either wire: shed check, decode,
+        pin the request's height, sync the headers the response needs, and
+        ``classify``; returns the response and the classifier's result."""
         self._raise_if_overloaded(raw, request.h_req)
         try:
-            response = PARPResponse.decode_wire(raw)
+            response = response_cls.decode_wire(raw)
         except MessageError as exc:
             raise InvalidResponse(VerificationReport(
                 ResponseClass.INVALID, "decode", str(exc),
@@ -493,30 +510,33 @@ class LightClientSession:
         # Fetch any headers verification will need (free, multi-source).
         request_height = self.headers.height_of(request.h_b)
         if request_height is None:
-            raise SessionError("request pinned a header we no longer track")
+            raise SessionError(
+                f"{request._noun} pinned a header we no longer track")
         try:
             if response.m_b > self.headers.chain.tip_number:
                 self.headers.sync_to(response.m_b)
         except SyncError:
             pass  # classification will mark it unverifiable/invalid
 
-        report = classify_response(
+        return response, classify(
             request, response, self.channel.alpha, self.full_node,
             request_height, self.headers.get_header,
         )
-        outcome = RequestOutcome(
-            request=request, response=response, report=report,
-            amount_paid=request.a,
-        )
-        self.history.append(outcome)
 
+    def _conclude(self, outcome: Union[RequestOutcome, BatchOutcome],
+                  fraud_package: Callable[[], Optional[FraudProofPackage]]):
+        """Record the outcome, then act on its verdict: FRAUD terminates the
+        connection with ``fraud_package()`` as evidence, INVALID raises,
+        VALID acknowledges the payment."""
+        self.history.append(outcome)
+        report = outcome.report
         if report.classification is ResponseClass.FRAUD:
-            package = self._try_build_package(request, response)
+            package = fraud_package()
             self.state = LightClientState.UNBONDING  # terminate the connection
             raise FraudDetected(report, package)
         if report.classification is ResponseClass.INVALID:
             raise InvalidResponse(report)
-        self.channel.record_ack(request.a)
+        self.channel.record_ack(outcome.amount_paid)
         return outcome
 
     # ------------------------------------------------------------------ #
@@ -569,11 +589,7 @@ class LightClientSession:
         signed payment is wasted), falls back transparently to sequential
         per-key requests with identical verification guarantees.
         """
-        if self.state is not LightClientState.BONDED or self.channel is None:
-            raise SessionError(f"no bonded channel (state={self.state.value})")
-        calls = tuple(calls)
-        if not calls:
-            raise SessionError("a batch needs at least one call")
+        calls = self._batch_calls(calls)
         if not self.batch_supported():
             return self._batch_fallback(calls, tip)
         # Thin submit-then-wait adapter over the non-blocking path.
@@ -591,69 +607,31 @@ class LightClientSession:
     def process_batch_response(self, request: BatchRequest,
                                raw: bytes) -> BatchOutcome:
         """Step (D) for a batch: decode, header-sync, classify per item."""
-        self._raise_if_overloaded(raw, request.h_req)
-        try:
-            response = BatchResponse.decode_wire(raw)
-        except MessageError as exc:
-            raise InvalidResponse(VerificationReport(
-                ResponseClass.INVALID, "decode", str(exc),
-            )) from exc
-
-        request_height = self.headers.height_of(request.h_b)
-        if request_height is None:
-            raise SessionError("batch pinned a header we no longer track")
-        try:
-            if response.m_b > self.headers.chain.tip_number:
-                self.headers.sync_to(response.m_b)
-        except SyncError:
-            pass  # classification will mark it unverifiable/invalid
-
-        report, item_reports = classify_batch_response(
-            request, response, self.channel.alpha, self.full_node,
-            request_height, self.headers.get_header,
-        )
+        response, (report, item_reports) = self._receive(
+            request, raw, BatchResponse, classify_batch_response)
         items = tuple(
             BatchItem(call=call, status=response.statuses[i],
                       result=response.results[i], report=item_reports[i])
             for i, call in enumerate(request.calls)
         ) if item_reports else ()
-        outcome = BatchOutcome(
-            items=items, report=report, amount_paid=request.a,
-            batched=True, request=request, response=response,
-        )
-        self.history.append(outcome)
-
-        if report.classification is ResponseClass.FRAUD:
-            # Batch fraud blobs are not yet understood by the on-chain FDM
-            # (Algorithm 2 decodes single responses), so terminate and fail
-            # over without a package; the channel dispute path still protects
-            # the payment itself.
-            self.state = LightClientState.UNBONDING
-            raise FraudDetected(report, None)
-        if report.classification is ResponseClass.INVALID:
-            raise InvalidResponse(report)
-        self.channel.record_ack(request.a)
-        return outcome
+        # Batch fraud blobs are not yet understood by the on-chain FDM
+        # (Algorithm 2 decodes single responses), so FRAUD terminates and
+        # fails over without a package; the channel dispute path still
+        # protects the payment itself.
+        return self._conclude(
+            BatchOutcome(items=items, report=report, amount_paid=request.a,
+                         batched=True, request=request, response=response),
+            lambda: None)
 
     def _batch_fallback(self, calls: tuple[RpcCall, ...],
                         tip: int) -> BatchOutcome:
         """Per-key service for servers without batch support: same checks,
-        N channel updates, N stand-alone proofs."""
-        items = []
-        amount_paid = self.channel.spent
-        for call in calls:
-            outcome = self.request_call(call, tip=tip)
-            tip = 0  # a tip, if any, is paid once per batch
-            amount_paid = outcome.amount_paid
-            items.append(BatchItem(
-                call=call, status=outcome.response.status,
-                result=outcome.response.result, report=outcome.report,
-            ))
-        return BatchOutcome(
-            items=tuple(items),
-            report=VerificationReport(ResponseClass.VALID, "all-checks"),
-            amount_paid=amount_paid, batched=False,
-        )
+        N channel updates, N stand-alone proofs (a tip, if any, is paid
+        once per batch)."""
+        outcomes = [self.request_call(call, tip=tip if i == 0 else 0)
+                    for i, call in enumerate(calls)]
+        return BatchOutcome.per_key(
+            outcomes, VerificationReport(ResponseClass.VALID, "all-checks"))
 
     def get_balances(self, addresses: Sequence[Address]) -> list[int]:
         """Batched convenience: balances of many accounts in one round."""

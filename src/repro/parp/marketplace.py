@@ -43,7 +43,6 @@ from .client import (
     FraudDetected,
     InvalidResponse,
     LightClientSession,
-    PendingBatch,
     PendingRequest,
     RequestOutcome,
     ServerEndpoint,
@@ -310,7 +309,7 @@ class HedgeAttempt:
 
     address: Address
     label: str
-    pending: "PendingBatch | PendingRequest"
+    pending: PendingRequest
     outcome: str = "in-flight"
     detail: str = ""
 
@@ -382,7 +381,7 @@ class _Launch:
 
     ad: ServerAdvertisement
     session: LightClientSession
-    pending: "PendingBatch | PendingRequest"
+    pending: PendingRequest
     deadline: Optional[float]     # sim-clock instant; None for in-process
     cost: int                     # what issuing it added to its channel
     attempt: Optional[HedgeAttempt]   # None on the serial (1×1) path
@@ -1121,14 +1120,7 @@ class MarketplaceClient:
         leg = race.leg
         leg.winner, leg.cost = ad.address, cost
         if isinstance(outcome, RequestOutcome):   # the single-request wire
-            outcome = BatchOutcome(
-                items=(BatchItem(
-                    call=leg.calls[0], status=outcome.response.status,
-                    result=outcome.response.result, report=outcome.report,
-                ),),
-                report=outcome.report, amount_paid=outcome.amount_paid,
-                batched=False,
-            )
+            outcome = BatchOutcome.per_key([outcome], outcome.report)
         leg.outcome = outcome
 
     @staticmethod

@@ -24,6 +24,7 @@ decoding, mirroring ``decodeResponse`` in Algorithm 2.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Any, Optional, Sequence
 
 from ..crypto import Signature, SignatureError, keccak256, recover_address
@@ -33,7 +34,6 @@ from .constants import (
     ALPHA_BYTES,
     AMOUNT_BYTES,
     BATCH_REQUEST_OVERHEAD_BYTES,
-    BATCH_RESPONSE_OVERHEAD_BYTES,
     HASH_BYTES,
     HEIGHT_BYTES,
     MAX_AMOUNT,
@@ -274,14 +274,68 @@ def _recover(digest: bytes, sig: bytes, what: str) -> Address:
         raise MessageError(f"bad {what} signature: {exc}") from exc
 
 
+def _split(raw: bytes, pos: int, widths: Sequence[int]) -> tuple[list[bytes], int]:
+    """Cut consecutive fixed-width fields out of ``raw`` from ``pos``."""
+    fields = []
+    for width in widths:
+        fields.append(raw[pos:pos + width])
+        pos += width
+    return fields, pos
+
+
+def _byte_strings(items: Sequence[rlp.Item], message: str) -> tuple[bytes, ...]:
+    """``items`` as a tuple, or a MessageError when one is not a byte string."""
+    for item in items:
+        if not isinstance(item, bytes):
+            raise MessageError(message)
+    return tuple(items)
+
+
+def _sign_request(key: PrivateKey, alpha: bytes, amount: int,
+                  h_req: bytes) -> tuple[bytes, bytes]:
+    """Step (A)'s two signatures: σ_a over ``Hash(α, a)``, σ_req over h_req."""
+    return (key.sign(payment_digest(alpha, amount)).to_bytes(),
+            key.sign(h_req).to_bytes())
+
+
+_REQUEST_META = (ALPHA_BYTES, HASH_BYTES, AMOUNT_BYTES, HASH_BYTES,
+                 SIGNATURE_BYTES, SIGNATURE_BYTES)
+
+
 class _PaidRequest:
-    """Step (B) for both request formats: the digest, then the request and
+    """What both request formats share: the metadata codec ``α ‖ h_B ‖ a ‖
+    h_req ‖ σ_a ‖ σ_req`` and step (B) — the digest, then the request and
     payment signatures, then the signer match.  Subclasses name themselves
-    in the error strings (``_noun``, and ``_signature`` for bad
-    signatures)."""
+    in the error strings (``_noun``, and ``_name`` for the message as a
+    whole) and set their fixed ``wire_overhead``."""
 
     _noun = "request"
-    _signature = "request"
+    _name = "request"
+
+    def _meta_wire(self) -> bytes:
+        return (self.alpha + self.h_b + _encode_amount(self.a) + self.h_req
+                + self.sig_a + self.sig_req)
+
+    @classmethod
+    def _split_wire(cls, raw: bytes, pos: int) -> tuple[dict, bytes]:
+        """The metadata fields at ``raw[pos:]`` and the call bytes after them."""
+        if len(raw) < cls.wire_overhead:
+            raise MessageError(
+                f"{cls._name} too short: {len(raw)} < {cls.wire_overhead}"
+            )
+        (alpha, h_b, amount, h_req, sig_a, sig_req), pos = _split(
+            raw, pos, _REQUEST_META)
+        meta = dict(alpha=alpha, h_b=h_b, a=int.from_bytes(amount, "big"),
+                    h_req=h_req, sig_a=sig_a, sig_req=sig_req)
+        return meta, raw[pos:]
+
+    @cached_property
+    def payer(self) -> Address:
+        """The signer of σ_a, recovered once per request object: step (B)
+        and the channel's payment check both ask for it.  A malformed σ_a
+        raises :class:`~repro.crypto.SignatureError`."""
+        return recover_address(payment_digest(self.alpha, self.a),
+                               Signature.from_bytes(self.sig_a))
 
     def verify(self, expected_sender: Optional[Address] = None) -> Address:
         """Full-node-side request verification (step (B) in Fig. 5).
@@ -292,9 +346,11 @@ class _PaidRequest:
         noun = self._noun
         if self.h_req != self.expected_digest():
             raise MessageError(f"{noun} hash does not match {noun} contents")
-        req_signer = _recover(self.h_req, self.sig_req, self._signature)
-        pay_signer = _recover(payment_digest(self.alpha, self.a), self.sig_a,
-                              self._signature)
+        req_signer = _recover(self.h_req, self.sig_req, self._name)
+        try:
+            pay_signer = self.payer
+        except SignatureError as exc:
+            raise MessageError(f"bad {self._name} signature: {exc}") from exc
         if req_signer != pay_signer:
             raise MessageError(f"{noun} and payment signed by different keys")
         if expected_sender is not None and req_signer != expected_sender:
@@ -319,38 +375,29 @@ class PARPRequest(_PaidRequest):
     def build(cls, alpha: bytes, h_b: bytes, amount: int, call: RpcCall,
               key: PrivateKey) -> "PARPRequest":
         """Construct and sign a request (light-client side, step (A))."""
-        call_bytes = call.encode()
-        h_req = request_digest(alpha, h_b, amount, call_bytes)
-        sig_a = key.sign(payment_digest(alpha, amount)).to_bytes()
-        sig_req = key.sign(h_req).to_bytes()
+        h_req = request_digest(alpha, h_b, amount, call.encode())
+        sig_a, sig_req = _sign_request(key, alpha, amount, h_req)
         return cls(alpha=alpha, h_b=h_b, a=amount, call=call,
                    h_req=h_req, sig_a=sig_a, sig_req=sig_req)
+
+    #: PARP metadata bytes added on top of the base RPC call (Table II)
+    wire_overhead = REQUEST_OVERHEAD_BYTES
+
+    @property
+    def calls(self) -> tuple[RpcCall, ...]:
+        """γ as the one-call case of a batch's call list."""
+        return (self.call,)
 
     # -- wire ------------------------------------------------------------- #
 
     def encode_wire(self) -> bytes:
         """226 bytes of PARP metadata followed by the base RPC call γ."""
-        return (
-            self.alpha + self.h_b + _encode_amount(self.a) + self.h_req
-            + self.sig_a + self.sig_req + self.call.encode()
-        )
+        return self._meta_wire() + self.call.encode()
 
     @classmethod
     def decode_wire(cls, raw: bytes) -> "PARPRequest":
-        if len(raw) < REQUEST_OVERHEAD_BYTES:
-            raise MessageError(
-                f"request too short: {len(raw)} < {REQUEST_OVERHEAD_BYTES}"
-            )
-        pos = 0
-        alpha = raw[pos:pos + ALPHA_BYTES]; pos += ALPHA_BYTES
-        h_b = raw[pos:pos + HASH_BYTES]; pos += HASH_BYTES
-        amount = int.from_bytes(raw[pos:pos + AMOUNT_BYTES], "big"); pos += AMOUNT_BYTES
-        h_req = raw[pos:pos + HASH_BYTES]; pos += HASH_BYTES
-        sig_a = raw[pos:pos + SIGNATURE_BYTES]; pos += SIGNATURE_BYTES
-        sig_req = raw[pos:pos + SIGNATURE_BYTES]; pos += SIGNATURE_BYTES
-        call = RpcCall.decode(raw[pos:])
-        return cls(alpha=alpha, h_b=h_b, a=amount, call=call,
-                   h_req=h_req, sig_a=sig_a, sig_req=sig_req)
+        meta, body = cls._split_wire(raw, 0)
+        return cls(call=RpcCall.decode(body), **meta)
 
     # -- verification -------------------------------------------------------- #
 
@@ -361,18 +408,87 @@ class PARPRequest(_PaidRequest):
     def expected_digest(self) -> bytes:
         return request_digest(self.alpha, self.h_b, self.a, self.call.encode())
 
-    @property
-    def wire_overhead(self) -> int:
-        """PARP metadata bytes added on top of the base RPC call (Table II)."""
-        return REQUEST_OVERHEAD_BYTES
-
 
 # --------------------------------------------------------------------------- #
 # Response
 # --------------------------------------------------------------------------- #
 
+_RESPONSE_META = (HEIGHT_BYTES, AMOUNT_BYTES, HASH_BYTES, SIGNATURE_BYTES,
+                  SIGNATURE_BYTES)
+
+
+def _rlp_fields(raw: bytes, what: str, shape: str,
+                kinds: tuple[type, ...]) -> list:
+    """``raw`` decoded as an rlp list of exactly ``kinds``; ``what`` and
+    ``shape`` name it in the error strings."""
+    try:
+        item = rlp.decode(raw)
+    except rlp.RLPError as exc:
+        raise MessageError(f"undecodable {what}: {exc}") from exc
+    if (not isinstance(item, list) or len(item) != len(kinds)
+            or not all(isinstance(x, kind) for x, kind in zip(item, kinds))):
+        raise MessageError(f"{what} must be rlp({shape})")
+    return item
+
+
+class _SignedResponse:
+    """What both response formats share: the 187-byte metadata header
+    ``status ‖ m_B ‖ a ‖ h_req ‖ σ_req ‖ σ_res`` in front of an rlp payload,
+    and the α-bound digest σ_res signs.  Subclasses provide ``payload``
+    and name themselves (``_noun``) in the error strings."""
+
+    _noun = "response"
+
+    def preimage(self, alpha: bytes) -> bytes:
+        """The exact bytes behind h_res (for metered on-chain recomputation)."""
+        return response_preimage(
+            alpha, self.status, self.m_b, self.a, self.payload, self.h_req,
+            self.sig_req,
+        )
+
+    def digest(self, alpha: bytes) -> bytes:
+        """Recompute h_res for the given channel id."""
+        return keccak256(self.preimage(alpha))
+
+    def _signed(self, alpha: bytes, key: PrivateKey):
+        """This response with σ_res over its α-bound digest (step (C))."""
+        return replace(self, sig_res=key.sign(self.digest(alpha)).to_bytes())
+
+    def signer(self, alpha: bytes) -> Address:
+        """Recover the full-node address that signed this response."""
+        return _recover(self.digest(alpha), self.sig_res, self._noun)
+
+    def encode_wire(self) -> bytes:
+        """187 bytes of metadata followed by the rlp payload."""
+        return (
+            bytes([self.status]) + _encode_height(self.m_b)
+            + _encode_amount(self.a) + self.h_req + self.sig_req + self.sig_res
+            + self.payload
+        )
+
+    @classmethod
+    def _split_wire(cls, raw: bytes) -> tuple[dict, bytes]:
+        """The metadata fields of ``raw`` and the payload bytes after them."""
+        if len(raw) < RESPONSE_OVERHEAD_BYTES:
+            raise MessageError(
+                f"{cls._noun} too short: {len(raw)} < {RESPONSE_OVERHEAD_BYTES}"
+            )
+        (m_b, amount, h_req, sig_req, sig_res), pos = _split(
+            raw, STATUS_BYTES, _RESPONSE_META)
+        meta = dict(status=raw[0], m_b=int.from_bytes(m_b, "big"),
+                    a=int.from_bytes(amount, "big"), h_req=h_req,
+                    sig_req=sig_req, sig_res=sig_res)
+        return meta, raw[pos:]
+
+    @property
+    def wire_overhead(self) -> int:
+        """Metadata bytes (187) + Merkle proof bytes, per Table II."""
+        proof_bytes = len(rlp.encode(list(self.proof))) if self.proof else 0
+        return RESPONSE_OVERHEAD_BYTES + proof_bytes
+
+
 @dataclass(frozen=True)
-class PARPResponse:
+class PARPResponse(_SignedResponse):
     """A signed PARP response (Fig. 3, right)."""
 
     status: int
@@ -384,84 +500,35 @@ class PARPResponse:
     sig_req: bytes                # echo of the request signature
     sig_res: bytes
 
-    @staticmethod
-    def _payload(result: bytes, proof: Sequence[bytes]) -> bytes:
-        return rlp.encode([result, list(proof)])
-
     @classmethod
     def build(cls, alpha: bytes, request: PARPRequest, m_b: int, result: bytes,
               proof: Sequence[bytes], key: PrivateKey,
               status: int = ResponseStatus.OK) -> "PARPResponse":
         """Construct and sign a response (full-node side, step (C))."""
-        payload = cls._payload(result, proof)
-        h_res = response_digest(
-            alpha, status, m_b, request.a, payload, request.h_req, request.sig_req
-        )
         return cls(
             status=status, m_b=m_b, a=request.a, result=result,
             proof=tuple(proof), h_req=request.h_req, sig_req=request.sig_req,
-            sig_res=key.sign(h_res).to_bytes(),
-        )
+            sig_res=b"",
+        )._signed(alpha, key)
 
-    # -- digests ------------------------------------------------------------ #
+    @property
+    def payload(self) -> bytes:
+        """``rlp([R(γ), π_γ])`` — the part of h_res after the metadata."""
+        return rlp.encode([self.result, list(self.proof)])
 
-    def preimage(self, alpha: bytes) -> bytes:
-        """The exact bytes behind h_res (for metered on-chain recomputation)."""
-        payload = self._payload(self.result, self.proof)
-        return response_preimage(
-            alpha, self.status, self.m_b, self.a, payload, self.h_req, self.sig_req
-        )
-
-    def digest(self, alpha: bytes) -> bytes:
-        """Recompute h_res for the given channel id."""
-        payload = self._payload(self.result, self.proof)
-        return response_digest(
-            alpha, self.status, self.m_b, self.a, payload, self.h_req, self.sig_req
-        )
-
-    def signer(self, alpha: bytes) -> Address:
-        """Recover the full-node address that signed this response."""
-        return _recover(self.digest(alpha), self.sig_res, "response")
+    def __len__(self) -> int:
+        """A single response answers one call (cf. ``BatchResponse``)."""
+        return 1
 
     # -- wire ------------------------------------------------------------- #
 
-    def encode_wire(self) -> bytes:
-        """187 bytes of metadata followed by rlp([R(γ), π_γ])."""
-        return (
-            bytes([self.status]) + _encode_height(self.m_b) + _encode_amount(self.a)
-            + self.h_req + self.sig_req + self.sig_res
-            + self._payload(self.result, self.proof)
-        )
-
     @classmethod
     def decode_wire(cls, raw: bytes) -> "PARPResponse":
-        if len(raw) < RESPONSE_OVERHEAD_BYTES:
-            raise MessageError(
-                f"response too short: {len(raw)} < {RESPONSE_OVERHEAD_BYTES}"
-            )
-        pos = 0
-        status = raw[pos]; pos += STATUS_BYTES
-        m_b = int.from_bytes(raw[pos:pos + HEIGHT_BYTES], "big"); pos += HEIGHT_BYTES
-        amount = int.from_bytes(raw[pos:pos + AMOUNT_BYTES], "big"); pos += AMOUNT_BYTES
-        h_req = raw[pos:pos + HASH_BYTES]; pos += HASH_BYTES
-        sig_req = raw[pos:pos + SIGNATURE_BYTES]; pos += SIGNATURE_BYTES
-        sig_res = raw[pos:pos + SIGNATURE_BYTES]; pos += SIGNATURE_BYTES
-        try:
-            payload = rlp.decode(raw[pos:])
-        except rlp.RLPError as exc:
-            raise MessageError(f"undecodable response payload: {exc}") from exc
-        if (not isinstance(payload, list) or len(payload) != 2
-                or not isinstance(payload[0], bytes)
-                or not isinstance(payload[1], list)):
-            raise MessageError("response payload must be rlp([result, proof])")
-        proof_nodes = []
-        for node in payload[1]:
-            if not isinstance(node, bytes):
-                raise MessageError("proof nodes must be byte strings")
-            proof_nodes.append(node)
-        return cls(status=status, m_b=m_b, a=amount, result=payload[0],
-                   proof=tuple(proof_nodes), h_req=h_req,
-                   sig_req=sig_req, sig_res=sig_res)
+        meta, body = cls._split_wire(raw)
+        result, proof = _rlp_fields(body, "response payload", "[result, proof]",
+                                    (bytes, list))
+        return cls(result=result, proof=_byte_strings(
+            proof, "proof nodes must be byte strings"), **meta)
 
     # -- fraud blob (on-chain format, α re-attached) ------------------------- #
 
@@ -476,14 +543,6 @@ class PARPResponse:
         if len(raw) < ALPHA_BYTES:
             raise MessageError("fraud blob too short for a channel id")
         return raw[:ALPHA_BYTES], cls.decode_wire(raw[ALPHA_BYTES:])
-
-    # -- sizes (Table II) ----------------------------------------------------- #
-
-    @property
-    def wire_overhead(self) -> int:
-        """Metadata bytes (187) + Merkle proof bytes, per Table II."""
-        proof_bytes = len(rlp.encode(list(self.proof))) if self.proof else 0
-        return RESPONSE_OVERHEAD_BYTES + proof_bytes
 
     def with_result(self, result: bytes) -> "PARPResponse":
         """A tampered copy (used by tests and the malicious-node examples)."""
@@ -643,7 +702,9 @@ class BatchRequest(_PaidRequest):
     sig_req: bytes
 
     _noun = "batch"
-    _signature = "batch request"
+    _name = "batch request"
+    #: the version byte in front of the single-request metadata
+    wire_overhead = BATCH_REQUEST_OVERHEAD_BYTES
 
     @staticmethod
     def _calls_bytes(calls: Sequence[RpcCall]) -> bytes:
@@ -658,8 +719,7 @@ class BatchRequest(_PaidRequest):
             raise MessageError("a batch must contain at least one call")
         calls_bytes = cls._calls_bytes(calls)
         h_req = batch_request_digest(alpha, h_b, amount, version, calls_bytes)
-        sig_a = key.sign(payment_digest(alpha, amount)).to_bytes()
-        sig_req = key.sign(h_req).to_bytes()
+        sig_a, sig_req = _sign_request(key, alpha, amount, h_req)
         return cls(version=version, alpha=alpha, h_b=h_b, a=amount,
                    calls=tuple(calls), h_req=h_req, sig_a=sig_a,
                    sig_req=sig_req)
@@ -668,29 +728,14 @@ class BatchRequest(_PaidRequest):
 
     def encode_wire(self) -> bytes:
         """227 bytes of metadata followed by rlp([γ_1 … γ_N])."""
-        return (
-            bytes([self.version]) + self.alpha + self.h_b
-            + _encode_amount(self.a) + self.h_req + self.sig_a + self.sig_req
-            + self._calls_bytes(self.calls)
-        )
+        return (bytes([self.version]) + self._meta_wire()
+                + self._calls_bytes(self.calls))
 
     @classmethod
     def decode_wire(cls, raw: bytes) -> "BatchRequest":
-        if len(raw) < BATCH_REQUEST_OVERHEAD_BYTES:
-            raise MessageError(
-                f"batch request too short: {len(raw)} < "
-                f"{BATCH_REQUEST_OVERHEAD_BYTES}"
-            )
-        pos = 0
-        version = raw[pos]; pos += 1
-        alpha = raw[pos:pos + ALPHA_BYTES]; pos += ALPHA_BYTES
-        h_b = raw[pos:pos + HASH_BYTES]; pos += HASH_BYTES
-        amount = int.from_bytes(raw[pos:pos + AMOUNT_BYTES], "big"); pos += AMOUNT_BYTES
-        h_req = raw[pos:pos + HASH_BYTES]; pos += HASH_BYTES
-        sig_a = raw[pos:pos + SIGNATURE_BYTES]; pos += SIGNATURE_BYTES
-        sig_req = raw[pos:pos + SIGNATURE_BYTES]; pos += SIGNATURE_BYTES
+        meta, body = cls._split_wire(raw, 1)
         try:
-            item = rlp.decode(raw[pos:])
+            item = rlp.decode(body)
         except rlp.RLPError as exc:
             raise MessageError(f"undecodable batch call list: {exc}") from exc
         if not isinstance(item, list) or not item:
@@ -700,9 +745,7 @@ class BatchRequest(_PaidRequest):
             if not isinstance(encoded, bytes):
                 raise MessageError("batch calls must be rlp-encoded byte strings")
             calls.append(RpcCall.decode(encoded))
-        return cls(version=version, alpha=alpha, h_b=h_b, a=amount,
-                   calls=tuple(calls), h_req=h_req, sig_a=sig_a,
-                   sig_req=sig_req)
+        return cls(version=raw[0], calls=tuple(calls), **meta)
 
     # -- verification ------------------------------------------------------ #
 
@@ -712,16 +755,12 @@ class BatchRequest(_PaidRequest):
             self._calls_bytes(self.calls),
         )
 
-    @property
-    def wire_overhead(self) -> int:
-        return BATCH_REQUEST_OVERHEAD_BYTES
-
     def __repr__(self) -> str:
         return f"BatchRequest(v{self.version}, {len(self.calls)} calls)"
 
 
 @dataclass(frozen=True)
-class BatchResponse:
+class BatchResponse(_SignedResponse):
     """The signed answer to a :class:`BatchRequest`.
 
     Carries one status byte and one result payload per call, plus a single
@@ -741,10 +780,7 @@ class BatchResponse:
     sig_req: bytes
     sig_res: bytes
 
-    @staticmethod
-    def _payload(statuses: Sequence[int], results: Sequence[bytes],
-                 proof: Sequence[bytes]) -> bytes:
-        return rlp.encode([bytes(statuses), list(results), list(proof)])
+    _noun = "batch response"
 
     @classmethod
     def build(cls, alpha: bytes, request: BatchRequest, m_b: int,
@@ -754,28 +790,20 @@ class BatchResponse:
         """Construct and sign a batch response (full-node side)."""
         if len(statuses) != len(results):
             raise MessageError("per-call statuses and results disagree in length")
-        payload = cls._payload(statuses, results, proof)
-        h_res = response_digest(
-            alpha, status, m_b, request.a, payload, request.h_req,
-            request.sig_req,
-        )
         return cls(
             status=status, m_b=m_b, a=request.a, statuses=tuple(statuses),
             results=tuple(results), proof=tuple(proof), h_req=request.h_req,
-            sig_req=request.sig_req, sig_res=key.sign(h_res).to_bytes(),
-        )
+            sig_req=request.sig_req, sig_res=b"",
+        )._signed(alpha, key)
 
-    # -- digests ------------------------------------------------------------ #
+    @staticmethod
+    def _payload(statuses: Sequence[int], results: Sequence[bytes],
+                 proof: Sequence[bytes]) -> bytes:
+        return rlp.encode([bytes(statuses), list(results), list(proof)])
 
-    def digest(self, alpha: bytes) -> bytes:
-        payload = self._payload(self.statuses, self.results, self.proof)
-        return response_digest(
-            alpha, self.status, self.m_b, self.a, payload, self.h_req,
-            self.sig_req,
-        )
-
-    def signer(self, alpha: bytes) -> Address:
-        return _recover(self.digest(alpha), self.sig_res, "batch response")
+    @property
+    def payload(self) -> bytes:
+        return self._payload(self.statuses, self.results, self.proof)
 
     # -- per-item view ------------------------------------------------------ #
 
@@ -798,63 +826,18 @@ class BatchResponse:
 
     # -- wire ------------------------------------------------------------- #
 
-    def encode_wire(self) -> bytes:
-        """187 bytes of metadata followed by rlp([statuses, results, proof])."""
-        return (
-            bytes([self.status]) + _encode_height(self.m_b)
-            + _encode_amount(self.a) + self.h_req + self.sig_req + self.sig_res
-            + self._payload(self.statuses, self.results, self.proof)
-        )
-
     @classmethod
     def decode_wire(cls, raw: bytes) -> "BatchResponse":
-        if len(raw) < BATCH_RESPONSE_OVERHEAD_BYTES:
-            raise MessageError(
-                f"batch response too short: {len(raw)} < "
-                f"{BATCH_RESPONSE_OVERHEAD_BYTES}"
-            )
-        pos = 0
-        status = raw[pos]; pos += STATUS_BYTES
-        m_b = int.from_bytes(raw[pos:pos + HEIGHT_BYTES], "big"); pos += HEIGHT_BYTES
-        amount = int.from_bytes(raw[pos:pos + AMOUNT_BYTES], "big"); pos += AMOUNT_BYTES
-        h_req = raw[pos:pos + HASH_BYTES]; pos += HASH_BYTES
-        sig_req = raw[pos:pos + SIGNATURE_BYTES]; pos += SIGNATURE_BYTES
-        sig_res = raw[pos:pos + SIGNATURE_BYTES]; pos += SIGNATURE_BYTES
-        try:
-            payload = rlp.decode(raw[pos:])
-        except rlp.RLPError as exc:
-            raise MessageError(f"undecodable batch payload: {exc}") from exc
-        if (not isinstance(payload, list) or len(payload) != 3
-                or not isinstance(payload[0], bytes)
-                or not isinstance(payload[1], list)
-                or not isinstance(payload[2], list)):
-            raise MessageError(
-                "batch payload must be rlp([statuses, results, proof])"
-            )
-        statuses = tuple(payload[0])
-        results = []
-        for result in payload[1]:
-            if not isinstance(result, bytes):
-                raise MessageError("batch results must be byte strings")
-            results.append(result)
-        proof_nodes = []
-        for node in payload[2]:
-            if not isinstance(node, bytes):
-                raise MessageError("proof nodes must be byte strings")
-            proof_nodes.append(node)
+        meta, body = cls._split_wire(raw)
+        statuses, results, proof = _rlp_fields(
+            body, "batch payload", "[statuses, results, proof]",
+            (bytes, list, list))
+        results = _byte_strings(results, "batch results must be byte strings")
+        proof = _byte_strings(proof, "proof nodes must be byte strings")
         if len(statuses) != len(results):
             raise MessageError("per-call statuses and results disagree in length")
-        return cls(status=status, m_b=m_b, a=amount, statuses=statuses,
-                   results=tuple(results), proof=tuple(proof_nodes),
-                   h_req=h_req, sig_req=sig_req, sig_res=sig_res)
-
-    # -- sizes (Table II / Fig. 6) ---------------------------------------- #
-
-    @property
-    def wire_overhead(self) -> int:
-        """Metadata bytes + shared multiproof bytes for the whole batch."""
-        proof_bytes = len(rlp.encode(list(self.proof))) if self.proof else 0
-        return BATCH_RESPONSE_OVERHEAD_BYTES + proof_bytes
+        return cls(statuses=tuple(statuses), results=results, proof=proof,
+                   **meta)
 
     def with_result(self, index: int, result: bytes) -> "BatchResponse":
         """A tampered copy (tests and the malicious-node examples)."""

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 from ..chain.chain import ChainError
 from ..chain.header import BlockHeader
@@ -399,20 +399,30 @@ class FullNodeServer:
         :class:`~repro.parp.messages.OverloadedReply` instead of a served
         response.
         """
+        return self._serve(wire, PARPRequest, self._verify_request,
+                           self._execute_and_sign)
+
+    def _serve(self, wire: bytes, request_cls: type, verify: Callable,
+               execute: Callable) -> bytes:
+        """The serve path of either wire: decode, admission gate, step (B)
+        ``verify``, step (C) ``execute``, encode, and count."""
         self._bump("bytes_in", len(wire))
         try:
-            request = PARPRequest.decode_wire(wire)
+            request = request_cls.decode_wire(wire)
         except MessageError as exc:
             self._bump("requests_rejected")
-            raise ServeError(f"undecodable request: {exc}") from exc
-        shed = self._admission_gate(request.h_req, queries=1)
+            raise ServeError(f"undecodable {request_cls._name}: {exc}") from exc
+        shed = self._admission_gate(request.h_req, queries=len(request.calls))
         if shed is not None:
             return shed
-        self._verify_request(request)                  # step (B)
-        response = self._execute_and_sign(request)     # step (C)
-        out = response.encode_wire()
+        verify(request)                        # step (B)
+        out = execute(request).encode_wire()   # step (C)
         self._bump("bytes_out", len(out))
-        self._bump("requests_served")
+        if isinstance(request, BatchRequest):
+            self._bump("batches_served")
+            self._bump("batch_queries_served", len(request.calls))
+        else:
+            self._bump("requests_served")
         return out
 
     def _verify_request(self, request: PARPRequest) -> PARPRequest:
@@ -491,32 +501,37 @@ class FullNodeServer:
         return delay
 
     def _execute_and_sign(self, request: PARPRequest) -> PARPResponse:
-        call = request.call
         # The client's pinned block must be on our chain (same network).
-        pinned = self.node.chain.get_block_by_hash(request.h_b)
-        if pinned is None:
-            return self._error_response(
-                request, f"unknown reference block {request.h_b.hex()[:16]}"
-            )
-        violation = self._range_violation(call)
-        if violation is not None:
-            # a *signed* error: the shard server attributably declines keys
-            # outside its advertised range instead of letting the slice walk
-            # blow up into an unsigned transport failure
-            return self._error_response(request, violation)
-        if call.method == "parp_channelStatus":
-            result, proof = self._channel_status(call)
+        if self.node.chain.get_block_by_hash(request.h_b) is None:
+            status, result, proof = ResponseStatus.ERROR, _error_result(
+                f"unknown reference block {request.h_b.hex()[:16]}"), []
         else:
-            try:
-                m_b = self.node.head_number()
-                result, proof = self._execute_cached(call, m_b)
-            except QueryError as exc:
-                return self._error_response(request, str(exc))
+            status, result, proof = self._execute_call(
+                request.call, self.node.head_number())
         m_b = self.node.head_number()  # sends advance the head to inclusion
         return PARPResponse.build(
             alpha=request.alpha, request=request, m_b=m_b,
-            result=result, proof=proof, key=self.key,
+            result=result, proof=proof, key=self.key, status=status,
         )
+
+    def _execute_call(self, call: RpcCall,
+                      m_b: int) -> tuple[int, bytes, list[bytes]]:
+        """Step (C) for one call at height ``m_b``: ``(status, R, π)``.
+
+        Keys outside this shard and failed queries come back as *signed*
+        errors: the server attributably declines instead of letting the
+        slice walk blow up into an unsigned transport failure.
+        """
+        violation = self._range_violation(call)
+        if violation is not None:
+            return ResponseStatus.ERROR, _error_result(violation), []
+        if call.method == "parp_channelStatus":
+            return (ResponseStatus.OK, *self._channel_status(call))
+        try:
+            result, proof = self._execute_cached(call, m_b)
+        except QueryError as exc:
+            return ResponseStatus.ERROR, _error_result(str(exc)), []
+        return ResponseStatus.OK, result, proof
 
     def _channel_status(self, call: RpcCall) -> tuple[bytes, list[bytes]]:
         """Cheap, unverified channel-status probe from local records."""
@@ -529,15 +544,6 @@ class FullNodeServer:
         else:
             status = 1
         return rlp.encode(rlp.encode_int(status)), []
-
-    def _error_response(self, request: PARPRequest, message: str) -> PARPResponse:
-        """A *signed* error: the client paid for the attempt and gets an
-        attributable outcome (it cannot be forged by a third party)."""
-        return PARPResponse.build(
-            alpha=request.alpha, request=request, m_b=self.node.head_number(),
-            result=_error_result(message), proof=[], key=self.key,
-            status=ResponseStatus.ERROR,
-        )
 
     def _execute_cached(self, call: RpcCall, m_b: int) -> tuple[bytes, list[bytes]]:
         """Execute a query through the proof LRU when deterministic at m_b.
@@ -601,7 +607,9 @@ class FullNodeServer:
                 "fee_multiplier": 1.0,
                 "max_queue_cost": float("inf"),
                 "service_time": 0.0,
-                "admitted": self.stats.requests_served,
+                # each batch is admitted once, as the controller counts it
+                "admitted": (self.stats.requests_served
+                             + self.stats.batches_served),
                 "shed": 0,
             }
         return self.admission.snapshot()
@@ -646,22 +654,8 @@ class FullNodeServer:
         batching: metadata, signatures, and shared trie levels are paid for
         once instead of N times.
         """
-        self._bump("bytes_in", len(wire))
-        try:
-            batch = BatchRequest.decode_wire(wire)
-        except MessageError as exc:
-            self._bump("requests_rejected")
-            raise ServeError(f"undecodable batch request: {exc}") from exc
-        shed = self._admission_gate(batch.h_req, queries=len(batch.calls))
-        if shed is not None:
-            return shed
-        self._verify_batch(batch)                       # step (B), once
-        response = self._execute_batch_and_sign(batch)  # step (C), shared
-        out = response.encode_wire()
-        self._bump("bytes_out", len(out))
-        self._bump("batches_served")
-        self._bump("batch_queries_served", len(batch.calls))
-        return out
+        return self._serve(wire, BatchRequest, self._verify_batch,
+                           self._execute_batch_and_sign)
 
     def _verify_batch(self, batch: BatchRequest) -> BatchRequest:
         if batch.version != BATCH_PROTOCOL_VERSION:
@@ -689,7 +683,12 @@ class FullNodeServer:
         pool: list[bytes] = []
         seen: set[bytes] = set()
         for call in batch.calls:
-            status, result, proof = self._execute_batch_item(call, m_b)
+            if call.method in _NOT_BATCHABLE:
+                status, result, proof = (
+                    ResponseStatus.ERROR,
+                    _error_result(f"{call.method} is not batchable"), [])
+            else:
+                status, result, proof = self._execute_call(call, m_b)
             statuses.append(status)
             results.append(result)
             for node in proof:  # shared-node dedup: the multiproof
@@ -701,23 +700,6 @@ class FullNodeServer:
             alpha=batch.alpha, request=batch, m_b=m_b, statuses=statuses,
             results=results, proof=pool, key=self.key,
         )
-
-    def _execute_batch_item(self, call: RpcCall,
-                            m_b: int) -> tuple[int, bytes, list[bytes]]:
-        if call.method in _NOT_BATCHABLE:
-            return (ResponseStatus.ERROR,
-                    _error_result(f"{call.method} is not batchable"), [])
-        violation = self._range_violation(call)
-        if violation is not None:
-            return ResponseStatus.ERROR, _error_result(violation), []
-        if call.method == "parp_channelStatus":
-            result, proof = self._channel_status(call)
-            return ResponseStatus.OK, result, proof
-        try:
-            result, proof = self._execute_cached(call, m_b)
-        except QueryError as exc:
-            return ResponseStatus.ERROR, _error_result(str(exc)), []
-        return ResponseStatus.OK, result, proof
 
     # ------------------------------------------------------------------ #
     # Proof of Serving (§VIII extension, receipts)

@@ -21,6 +21,11 @@ remaining checks classify failures as FRAUD (slashing evidence):
 6. **Verify Merkle Proof** — π_γ must authenticate R(γ) against the header
    roots at the relevant height; failure is FRAUD.  A header the client
    cannot obtain makes the response unverifiable (INVALID).
+
+A single request is the one-call case of a batch: both formats run the
+same envelope (checks 1–5, plus the batch-arity check after the signature,
+which one call always passes) and the same per-item check 6.  A batch
+reports the worst item; a single response reports its one item.
 """
 
 from __future__ import annotations
@@ -71,63 +76,9 @@ def classify_response(request: PARPRequest, response: PARPResponse,
     in ``req.h_B`` (the client always knows it — it chose the hash from its
     own header chain).
     """
-    # 1. Verify Request Hash ------------------------------------------------ #
-    if response.h_req != request.h_req:
-        return VerificationReport(
-            ResponseClass.INVALID, "request-hash",
-            "response echoes a different request hash",
-        )
-    if response.sig_req != request.sig_req:
-        return VerificationReport(
-            ResponseClass.INVALID, "request-hash",
-            "response echoes a different request signature",
-        )
-
-    # 2./3. Verify Response Signature (α-bound) ------------------------------- #
-    try:
-        signer = response.signer(alpha)
-    except MessageError as exc:
-        return VerificationReport(
-            ResponseClass.INVALID, "response-signature", str(exc),
-        )
-    if signer != full_node:
-        return VerificationReport(
-            ResponseClass.INVALID, "response-signature",
-            f"signed by {signer.hex()}, expected {full_node.hex()}",
-        )
-
-    # 4. Payment Amount Check -------------------------------------------------- #
-    if response.a != request.a:
-        return VerificationReport(
-            ResponseClass.FRAUD, "payment-amount",
-            f"request committed {request.a}, response claims {response.a}",
-        )
-
-    # 5. Timestamp Check --------------------------------------------------------- #
-    if response.m_b < request_height:
-        return VerificationReport(
-            ResponseClass.FRAUD, "timestamp",
-            f"response height {response.m_b} < request height {request_height}",
-        )
-
-    # Signed error responses carry no verifiable payload.
-    if response.status != ResponseStatus.OK:
-        return VerificationReport(
-            ResponseClass.VALID, "error-response",
-            "full node signed an error outcome", is_error_response=True,
-        )
-
-    # 6. Verify Merkle Proof -------------------------------------------------------- #
-    try:
-        verify_query_result(request.call, response, get_header)
-    except QueryFraud as exc:
-        return VerificationReport(ResponseClass.FRAUD, "merkle-proof", str(exc))
-    except Unverifiable as exc:
-        return VerificationReport(ResponseClass.INVALID, "merkle-proof", str(exc))
-    except MessageError as exc:
-        return VerificationReport(ResponseClass.INVALID, "merkle-proof", str(exc))
-
-    return VerificationReport(ResponseClass.VALID, "all-checks")
+    return (_check_envelope(request, response, alpha, full_node,
+                            request_height)
+            or _classify_item(request.call, response, get_header))
 
 
 def classify_batch_response(
@@ -143,30 +94,49 @@ def classify_batch_response(
     overall report plus one report per item; the overall classification is
     the worst across the envelope and every item (FRAUD > INVALID > VALID).
     """
+    failed = _check_envelope(request, response, alpha, full_node,
+                             request_height)
+    if failed is not None:
+        return failed, []
+    item_reports = [_classify_item(call, response.item_view(index), get_header)
+                    for index, call in enumerate(request.calls)]
+    worst = VerificationReport(ResponseClass.VALID, "all-checks")
+    for report in item_reports:
+        if _SEVERITY[report.classification] > _SEVERITY[worst.classification]:
+            worst = report
+    return worst, item_reports
+
+
+def _check_envelope(request: PARPRequest | BatchRequest,
+                    response: PARPResponse | BatchResponse, alpha: bytes,
+                    full_node: Address,
+                    request_height: int) -> Optional[VerificationReport]:
+    """Checks 1–5 over the metadata both formats share; None when they all
+    pass.  The messages name themselves (``_noun``) in the details."""
     # 1. Verify Request Hash ------------------------------------------------ #
     if response.h_req != request.h_req:
         return VerificationReport(
             ResponseClass.INVALID, "request-hash",
-            "batch response echoes a different request hash",
-        ), []
+            f"{response._noun} echoes a different request hash",
+        )
     if response.sig_req != request.sig_req:
         return VerificationReport(
             ResponseClass.INVALID, "request-hash",
-            "batch response echoes a different request signature",
-        ), []
+            f"{response._noun} echoes a different request signature",
+        )
 
-    # 2./3. Verify Response Signature (α-bound) ----------------------------- #
+    # 2./3. Verify Response Signature (α-bound) ------------------------------- #
     try:
         signer = response.signer(alpha)
     except MessageError as exc:
         return VerificationReport(
             ResponseClass.INVALID, "response-signature", str(exc),
-        ), []
+        )
     if signer != full_node:
         return VerificationReport(
             ResponseClass.INVALID, "response-signature",
             f"signed by {signer.hex()}, expected {full_node.hex()}",
-        ), []
+        )
 
     # Envelope sanity: the server must answer every call it signed for.
     if len(response) != len(request.calls):
@@ -174,49 +144,40 @@ def classify_batch_response(
             ResponseClass.FRAUD, "batch-arity",
             f"batch of {len(request.calls)} calls answered with "
             f"{len(response)} results",
-        ), []
+        )
 
-    # 4. Payment Amount Check ----------------------------------------------- #
+    # 4. Payment Amount Check -------------------------------------------------- #
     if response.a != request.a:
         return VerificationReport(
             ResponseClass.FRAUD, "payment-amount",
-            f"batch committed {request.a}, response claims {response.a}",
-        ), []
+            f"{request._noun} committed {request.a}, "
+            f"response claims {response.a}",
+        )
 
-    # 5. Timestamp Check ----------------------------------------------------- #
+    # 5. Timestamp Check --------------------------------------------------------- #
     if response.m_b < request_height:
         return VerificationReport(
             ResponseClass.FRAUD, "timestamp",
             f"response height {response.m_b} < request height {request_height}",
-        ), []
-
-    # 6. Verify Merkle Proof, per item against the shared pool ---------------- #
-    item_reports: list[VerificationReport] = []
-    worst = VerificationReport(ResponseClass.VALID, "all-checks")
-    for index, call in enumerate(request.calls):
-        item = response.item_view(index)
-        if item.status != ResponseStatus.OK:
-            report = VerificationReport(
-                ResponseClass.VALID, "error-response",
-                "full node signed an error outcome", is_error_response=True,
-            )
-        else:
-            report = _classify_item(call, item, get_header)
-        item_reports.append(report)
-        if _severity(report) > _severity(worst):
-            worst = report
-    return worst, item_reports
+        )
+    return None
 
 
 def _classify_item(call, item: PARPResponse,
                    get_header: HeaderLookup) -> VerificationReport:
+    """Check 6 for one call: a signed error carries no verifiable payload,
+    anything else must prove against the header roots."""
+    if item.status != ResponseStatus.OK:
+        return VerificationReport(
+            ResponseClass.VALID, "error-response",
+            "full node signed an error outcome", is_error_response=True,
+        )
+    # 6. Verify Merkle Proof -------------------------------------------------------- #
     try:
         verify_query_result(call, item, get_header)
     except QueryFraud as exc:
         return VerificationReport(ResponseClass.FRAUD, "merkle-proof", str(exc))
-    except Unverifiable as exc:
-        return VerificationReport(ResponseClass.INVALID, "merkle-proof", str(exc))
-    except MessageError as exc:
+    except (Unverifiable, MessageError) as exc:
         return VerificationReport(ResponseClass.INVALID, "merkle-proof", str(exc))
     return VerificationReport(ResponseClass.VALID, "all-checks")
 
@@ -226,7 +187,3 @@ _SEVERITY = {
     ResponseClass.INVALID: 1,
     ResponseClass.FRAUD: 2,
 }
-
-
-def _severity(report: VerificationReport) -> int:
-    return _SEVERITY[report.classification]

@@ -1,7 +1,10 @@
 """Handshake messages (Algorithm 1) and the §V-D classification logic."""
 
+from dataclasses import replace
+
 import pytest
 
+from repro.chain.account import Account
 from repro.crypto import PrivateKey, keccak256
 from repro.parp.handshake import (
     Handshake,
@@ -9,9 +12,15 @@ from repro.parp.handshake import (
     HandshakeError,
     OpenChannelReceipt,
 )
-from repro.parp.messages import PARPRequest, PARPResponse, ResponseStatus, RpcCall
+from repro.parp.messages import (
+    BatchResponse,
+    PARPRequest,
+    PARPResponse,
+    ResponseStatus,
+    RpcCall,
+)
 from repro.parp.states import ResponseClass
-from repro.parp.verification import classify_response
+from repro.parp.verification import classify_batch_response, classify_response
 
 LC = PrivateKey.from_seed("hv:lc")
 FN = PrivateKey.from_seed("hv:fn")
@@ -153,3 +162,93 @@ class TestClassification:
                                 proof=[], status=ResponseStatus.ERROR)
         report = self.classify(request, forged)
         assert report.classification is ResponseClass.FRAUD
+
+
+def _inflated(result: bytes) -> bytes:
+    account = Account.decode(result)
+    return account.with_balance(account.balance * 1000 + 1).encode()
+
+
+#: (tamper, fields to forge from (response, request height), a rogue signing
+#:  key (None: the serving node's), sign over a foreign α, expected
+#:  (classification, check))
+TAMPERS = [
+    ("honest", lambda res, h: {}, None, False,
+     (ResponseClass.VALID, "all-checks")),
+    ("h_req", lambda res, h: {"h_req": keccak256(b"other")}, None, False,
+     (ResponseClass.INVALID, "request-hash")),
+    ("sig_req", lambda res, h: {"sig_req": b"\x01" * 65}, None, False,
+     (ResponseClass.INVALID, "request-hash")),
+    ("signer", lambda res, h: {}, PrivateKey.from_seed("hv:rogue4"), False,
+     (ResponseClass.INVALID, "response-signature")),
+    ("alpha", lambda res, h: {}, None, True,
+     (ResponseClass.INVALID, "response-signature")),
+    ("amount", lambda res, h: {"a": res.a + 1}, None, False,
+     (ResponseClass.FRAUD, "payment-amount")),
+    ("height", lambda res, h: {"m_b": h - 1}, None, False,
+     (ResponseClass.FRAUD, "timestamp")),
+    ("error-status", lambda res, h: {"status": ResponseStatus.ERROR}, None,
+     False, (ResponseClass.VALID, "error-response")),
+    ("result", lambda res, h: {"result": _inflated(
+        res.results[0] if isinstance(res, BatchResponse) else res.result)},
+     None, False, (ResponseClass.FRAUD, "merkle-proof")),
+]
+
+
+def _forge(response, fields: dict, key: PrivateKey, alpha: bytes):
+    """``response`` with ``fields`` replaced (item 0 for a batch), signed by
+    ``key`` over ``alpha``."""
+    if isinstance(response, BatchResponse):
+        if "result" in fields:
+            fields["results"] = (fields.pop("result"),)
+        if "status" in fields:
+            fields["statuses"] = (fields["status"],)
+    forged = replace(response, **fields)
+    return replace(forged, sig_res=key.sign(forged.digest(alpha)).to_bytes())
+
+
+class TestBatchClassificationParity:
+    """A one-call batch is the single request's pipeline: every tamper
+    lands on the same (classification, check) through both classifiers."""
+
+    @pytest.fixture
+    def served(self, parp_env):
+        """One served eth_getBalance, as a single request and as a one-call
+        batch, with the headers both responses need."""
+        session, server = parp_env.session, parp_env.server
+        call = RpcCall.create("eth_getBalance", parp_env.keys.alice.address)
+        single = session.build_request(call, session.channel.next_amount(
+            session.fee_schedule.price(call)))
+        session.channel.record_request(single.a)
+        single_res = PARPResponse.decode_wire(
+            server.serve_request(single.encode_wire()))
+        batch = session.build_batch_request((call,), session.channel.next_amount(
+            session.fee_schedule.batch_price((call,))))
+        session.channel.record_request(batch.a)
+        batch_res = BatchResponse.decode_wire(
+            server.serve_batch(batch.encode_wire()))
+        session.headers.sync()
+        return parp_env, (single, single_res), (batch, batch_res)
+
+    @pytest.mark.parametrize("tamper, forge, key, foreign, expected", TAMPERS,
+                             ids=[row[0] for row in TAMPERS])
+    def test_single_and_one_call_batch_agree(self, served, tamper, forge, key,
+                                             foreign, expected):
+        env, (single, single_res), (batch, batch_res) = served
+        headers = env.session.headers
+        height = headers.height_of(single.h_b)
+        assert headers.height_of(batch.h_b) == height
+        alpha = keccak256(b"foreign")[:16] if foreign else env.alpha
+        key = key or env.keys.fn
+
+        single_report = classify_response(
+            single, _forge(single_res, forge(single_res, height), key, alpha),
+            env.alpha, env.server.address, height, headers.get_header)
+        overall, items = classify_batch_response(
+            batch, _forge(batch_res, forge(batch_res, height), key, alpha),
+            env.alpha, env.server.address, height, headers.get_header)
+
+        verdict = items[0] if items else overall
+        assert (single_report.classification, single_report.check) == expected
+        assert (verdict.classification, verdict.check) == expected
+        assert overall.classification is single_report.classification

@@ -111,6 +111,53 @@ class TestServer:
         parp_env.session.get_balance(parp_env.keys.alice.address)
         assert parp_env.server.stats.fees_earned > before
 
+    @pytest.mark.parametrize("batch", [False, True], ids=["single", "batch"])
+    def test_serving_recovers_each_signature_once(self, parp_env, monkeypatch,
+                                                  batch):
+        """Step (B) costs two recoveries, σ_req and σ_a: the channel's
+        payment check reuses the request's recovered payer."""
+        from repro.crypto import ecdsa
+
+        session, keys = parp_env.session, parp_env.keys
+        if batch:
+            calls = [RpcCall.create("eth_getBalance", a)
+                     for a in (keys.alice.address, keys.bob.address)]
+            amount = session.channel.next_amount(
+                session.fee_schedule.batch_price(calls))
+            request = session.build_batch_request(calls, amount)
+            serve = parp_env.server.serve_batch
+        else:
+            call = RpcCall.create("eth_getBalance", keys.alice.address)
+            amount = session.channel.next_amount(session.fee_schedule.price(call))
+            request = session.build_request(call, amount)
+            serve = parp_env.server.serve_request
+        session.channel.record_request(amount)
+        recovered = []
+        real_recover = ecdsa.recover
+
+        def counting_recover(msg_hash, signature):
+            recovered.append(msg_hash)
+            return real_recover(msg_hash, signature)
+
+        monkeypatch.setattr(ecdsa, "recover", counting_recover)
+        serve(request.encode_wire())
+        assert len(recovered) == 2
+        assert parp_env.server.channels[parp_env.alpha].latest_amount == amount
+
+    def test_load_info_counts_batches_without_admission(self, parp_env):
+        """Without admission control every served request and batch is
+        admitted; a batch counts once, as the admission controller counts
+        it."""
+        keys, server = parp_env.keys, parp_env.server
+        parp_env.session.query_batch([
+            RpcCall.create("eth_getBalance", a)
+            for a in (keys.alice.address, keys.bob.address, keys.lc.address)
+        ])
+        assert server.stats.batches_served == 1
+        assert server.load_info()["admitted"] == 1
+        parp_env.session.get_balance(keys.alice.address)
+        assert server.load_info()["admitted"] == 2
+
     def test_open_channel_rejects_non_cmm_target(self, parp_env):
         from repro.chain import UnsignedTransaction
 
